@@ -10,8 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
-import random
 import sys
 
 from . import diagram as dg
@@ -242,8 +240,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="name alphabet size for the corpus")
     sp.add_argument("--max-size", type=int, default=None, metavar="S",
                     help="prefix budget for the corpus")
-    sp.add_argument("--jobs", type=int, default=1, metavar="J",
-                    help="accepted for interface stability; runs single-process")
     return ap
 
 
@@ -265,9 +261,6 @@ _HANDLERS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    seed = os.environ.get("PITWO_SEED")
-    if seed is not None:
-        random.seed(seed)
     ap = build_parser()
     try:
         args = ap.parse_args(argv)

@@ -24,10 +24,18 @@ quotients by the parallel-composition monoid laws, the copy/discard comonoid
 laws, the beta step (apply over thunk), and optionally deletion of closed
 name sources that end in a discard.  ``equal`` compares normal forms up to
 port-graph isomorphism, with an iterative-refinement hash as a fast filter.
+
+Each diagram is coloured once.  ``_coloring`` refines canonical integer
+colours until the number of colour classes stops changing, folds every
+round's table into one digest, and caches the result on the diagram; every
+mutator clears that cache.  The one colouring serves ``signature`` (hashed
+once at the end), ``isomorphic`` (digests first, then a backtracking match
+within colour classes) and the node ids of ``to_json`` and ``to_dot``.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 from collections import Counter
@@ -119,6 +127,36 @@ class InterfaceError(DiagramError):
     pass
 
 
+@functools.cache
+def _port_table(k: str, n: int, cap: int) -> tuple[tuple[WireType, ...], tuple[WireType, ...]]:
+    """The (input, output) port types of a generator, built once per (kind, arity, cap)."""
+    if k == "copy":
+        return (N,), (N,) * n
+    if k == "discard":
+        return (N,), ()
+    if k == "par":
+        return (P,) * n, (P,)
+    if k == "stop":
+        return (), (P,)
+    if k == "send":
+        return (N,) * (1 + n), (P,)
+    if k == "recv":
+        return (N, HomT(n)), (P,)
+    if k == "fresh":
+        return (), (N,)
+    if k == "comm":
+        return (), (P,)
+    if k == "name":
+        return (), (N,)
+    if k == "thunk":
+        return (N,) * cap, (HomT(n),)
+    if k == "apply":
+        return (HomT(n),) + (N,) * n, (P,)
+    if k == "hole":
+        return (N,) * n, (P,)
+    raise DiagramError(f"unknown generator kind: {k!r}")
+
+
 @dataclass
 class Node:
     kind: str
@@ -128,33 +166,7 @@ class Node:
     inner: "Diagram | None" = None
 
     def ports(self) -> tuple[tuple[WireType, ...], tuple[WireType, ...]]:
-        k = self.kind
-        n = self.arity
-        if k == "copy":
-            return (N,), (N,) * n
-        if k == "discard":
-            return (N,), ()
-        if k == "par":
-            return (P,) * n, (P,)
-        if k == "stop":
-            return (), (P,)
-        if k == "send":
-            return (N,) * (1 + n), (P,)
-        if k == "recv":
-            return (N, HomT(n)), (P,)
-        if k == "fresh":
-            return (), (N,)
-        if k == "comm":
-            return (), (P,)
-        if k == "name":
-            return (), (N,)
-        if k == "thunk":
-            return (N,) * self.cap, (HomT(n),)
-        if k == "apply":
-            return (HomT(n),) + (N,) * n, (P,)
-        if k == "hole":
-            return (N,) * n, (P,)
-        raise DiagramError(f"unknown generator kind: {k!r}")
+        return _port_table(self.kind, self.arity, self.cap)
 
     def clone(self) -> "Node":
         return Node(self.kind, self.arity, self.cap, self.label,
@@ -169,20 +181,21 @@ Port = tuple  # ('in', nid, k) | ('out', nid, k) | ('dom', k) | ('cod', k)
 
 
 def _port_class(diagram: "Diagram", port: Port) -> int:
-    side, a, *rest = port
-    if side in ("dom", "cod"):
-        return a
-    nid, k = a, rest[0]
-    if (diagram.nodes[nid].kind, side) in _UNORDERED:
+    if port[0] in ("dom", "cod"):
+        return port[1]
+    if (diagram.nodes[port[1]].kind, port[0]) in _UNORDERED:
         return -1
-    return k
+    return port[2]
 
 
 class Diagram:
     """A mutable builder treated as immutable once handed out.
 
     All public operations (compose, tensor, normalize, ...) copy their
-    arguments; nothing mutates a diagram a caller still holds.
+    arguments; nothing mutates a diagram a caller still holds.  The colouring
+    and signature are cached on the diagram; every mutator clears them, and
+    code that assigns ``dom``, ``cod`` or a node's ``inner`` directly must
+    call ``_invalidate``.
     """
 
     def __init__(self) -> None:
@@ -192,21 +205,30 @@ class Diagram:
         self._next = 0
         self._dst: dict[Port, Port] = {}
         self._src: dict[Port, Port] = {}
+        self._colors: tuple[str, dict[int, int]] | None = None
+        self._sig: str | None = None
+
+    def _invalidate(self) -> None:
+        self._colors = None
+        self._sig = None
 
     # -- construction ------------------------------------------------------
 
     def add(self, kind: str, arity: int = 0, cap: int = 0, label: str = "",
             inner: "Diagram | None" = None) -> int:
+        self._invalidate()
         nid = self._next
         self._next += 1
         self.nodes[nid] = Node(kind, arity, cap, label, inner)
         return nid
 
     def add_dom(self, t: WireType) -> Port:
+        self._invalidate()
         self.dom.append(t)
         return ("dom", len(self.dom) - 1)
 
     def add_cod(self, t: WireType) -> Port:
+        self._invalidate()
         self.cod.append(t)
         return ("cod", len(self.cod) - 1)
 
@@ -216,9 +238,8 @@ class Diagram:
             return self.dom[port[1]]
         if side == "cod":
             return self.cod[port[1]]
-        _, nid, k = port
-        ins, outs = self.nodes[nid].ports()
-        return ins[k] if side == "in" else outs[k]
+        ins, outs = self.nodes[port[1]].ports()
+        return ins[port[2]] if side == "in" else outs[port[2]]
 
     def connect(self, src: Port, dst: Port) -> None:
         if src[0] not in ("out", "dom") or dst[0] not in ("in", "cod"):
@@ -229,16 +250,19 @@ class Diagram:
             raise InterfaceError(
                 f"type mismatch on wire {src}:{self.port_type(src)} -> {dst}:{self.port_type(dst)}"
             )
+        self._invalidate()
         self._dst[src] = dst
         self._src[dst] = src
 
     def disconnect(self, dst: Port) -> Port:
         """Remove the wire into consumer port dst; returns its producer."""
+        self._invalidate()
         src = self._src.pop(dst)
         del self._dst[src]
         return src
 
     def remove(self, nid: int) -> None:
+        self._invalidate()
         node = self.nodes.pop(nid)
         ins, outs = node.ports()
         for k in range(len(ins)):
@@ -276,6 +300,8 @@ class Diagram:
         d._next = self._next
         d._dst = dict(self._dst)
         d._src = dict(self._src)
+        d._colors = self._colors
+        d._sig = self._sig
         return d
 
     def validate(self) -> None:
@@ -401,6 +427,7 @@ def compose(f: Diagram, g: Diagram) -> Diagram:
     h = f.copy()
     mid_prods = [h.disconnect(("cod", k)) for k in range(len(h.cod))]
     h.cod = []
+    h._invalidate()
     cod_cons = [h.add_cod(t) for t in g.cod]
     # keep the freshly added cod ports as consumer targets
     cod_ports = [("cod", k) for k in range(len(g.cod))]
@@ -601,6 +628,7 @@ def normalize(d: Diagram, scalar_gc: bool = True) -> Diagram:
     for node in h.nodes.values():
         if node.inner is not None:
             node.inner = normalize(node.inner, scalar_gc)
+            h._invalidate()
     progress = True
     while progress:
         progress = (
@@ -620,56 +648,108 @@ def _hash(payload: object) -> str:
     return hashlib.sha256(repr(payload).encode()).hexdigest()[:16]
 
 
-def _peer_desc(d: Diagram, colors: dict[int, str], port: Port) -> tuple:
-    if port[0] in ("dom", "cod"):
-        return (port[0], port[1])
+# Peer colours of boundary ports; node colours are >= 0.
+_DOM, _COD = -1, -2
+
+
+def _peer_desc(d: Diagram, colors: dict[int, int], port: Port) -> tuple[int, int]:
+    """A wire end as (colour, port class); a boundary port as (_DOM/_COD, position)."""
+    side = port[0]
+    if side == "dom":
+        return (_DOM, port[1])
+    if side == "cod":
+        return (_COD, port[1])
     return (colors[port[1]], _port_class(d, port))
 
 
-def _wl_colors(d: Diagram) -> dict[int, str]:
-    colors = {
-        nid: _hash(("node", node.kind, node.arity, node.cap, node.label,
-                    signature(node.inner) if node.inner is not None else ""))
-        for nid, node in d.nodes.items()
-    }
-    for _ in range(len(d.nodes) + 2):
-        nxt = {}
-        for nid in d.nodes:
-            ins = sorted(
-                (_port_class(d, p), _peer_desc(d, colors, d.producer(p)))
-                for p in d.in_ports(nid)
-            )
-            outs = sorted(
-                (_port_class(d, p), _peer_desc(d, colors, d.consumer(p)))
-                for p in d.out_ports(nid)
-            )
-            nxt[nid] = _hash((colors[nid], tuple(ins), tuple(outs)))
-        if len(set(nxt.values())) == len(set(colors.values())) and all(
-            nxt[a] == nxt[b]
-            for a in d.nodes
-            for b in d.nodes
-            if colors[a] == colors[b]
-        ):
-            colors = nxt
+def _number(descs: dict[int, tuple], digest) -> tuple[dict[int, int], int]:
+    """Colour each node by the rank of its descriptor among the distinct ones.
+
+    The ranked table and its class sizes are folded into ``digest``, so two
+    diagrams that end with the same digest met the same tables in every round.
+    """
+    table = sorted(set(descs.values()))
+    rank = {desc: i for i, desc in enumerate(table)}
+    colors = {nid: rank[desc] for nid, desc in descs.items()}
+    sizes = [0] * len(table)
+    for c in colors.values():
+        sizes[c] += 1
+    digest.update(repr((table, sizes)).encode())
+    return colors, len(table)
+
+
+def _end(d: Diagram, own: int, peer: Port) -> tuple[int, int, int]:
+    """(own port class, peer key, peer port class) of one wired port.
+
+    The peer key is a node id, or _DOM/_COD with the boundary position as class.
+    """
+    if peer[0] == "dom":
+        return (own, _DOM, peer[1])
+    if peer[0] == "cod":
+        return (own, _COD, peer[1])
+    return (own, peer[1], _port_class(d, peer))
+
+
+def _coloring(d: Diagram) -> tuple[str, dict[int, int]]:
+    """The stable colour refinement of d: (digest of all rounds, colour per node).
+
+    Round 0 colours a node by its generator and the signature of its inner
+    diagram; each later round adds the sorted colours of its wire ends, until
+    the number of colour classes stops changing.  Colours are canonical
+    integers, so isomorphic diagrams get the same digest and corresponding
+    nodes the same colour.  Computed once and cached on d.
+    """
+    if d._colors is not None:
+        return d._colors
+    digest = hashlib.sha256()
+    descs: dict[int, tuple] = {}
+    links: dict[int, tuple[list, list]] = {}
+    for nid, node in d.nodes.items():
+        descs[nid] = (node.kind, node.arity, node.cap, node.label,
+                      signature(node.inner) if node.inner is not None else "")
+        ins, outs = node.ports()
+        in_free = (node.kind, "in") in _UNORDERED
+        out_free = (node.kind, "out") in _UNORDERED
+        links[nid] = (
+            [_end(d, -1 if in_free else k, d._src[("in", nid, k)])
+             for k in range(len(ins))],
+            [_end(d, -1 if out_free else k, d._dst[("out", nid, k)])
+             for k in range(len(outs))],
+        )
+    colors, count = _number(descs, digest)
+    while count < len(links):
+        colors[_DOM], colors[_COD] = _DOM, _COD
+        descs = {
+            nid: (colors[nid],
+                  tuple(sorted((own, colors[key], pc) for own, key, pc in ins)),
+                  tuple(sorted((own, colors[key], pc) for own, key, pc in outs)))
+            for nid, (ins, outs) in links.items()
+        }
+        colors, refined = _number(descs, digest)
+        if refined == count:
             break
-        colors = nxt
-    return colors
+        count = refined
+    d._colors = (digest.hexdigest()[:16], colors)
+    return d._colors
 
 
 def signature(d: Diagram) -> str:
-    """A run-stable canonical hash; isomorphic diagrams hash equally."""
-    colors = _wl_colors(d)
-    wires = sorted(
-        (_peer_desc(d, colors, src), _peer_desc(d, colors, dst), str(d.port_type(src)))
-        for src, dst in d.wires()
-    )
-    payload = (
-        tuple(str(t) for t in d.dom),
-        tuple(str(t) for t in d.cod),
-        tuple(sorted(colors.values())),
-        tuple(wires),
-    )
-    return _hash(payload)
+    """A run-stable canonical hash; isomorphic diagrams hash equally.
+
+    Hashes the interface, the colour digest of ``_coloring`` and the wires
+    between coloured ends, once per diagram: the result is cached on d, and
+    the same colouring serves ``isomorphic`` and the export ids.
+    """
+    if d._sig is None:
+        digest, colors = _coloring(d)
+        # a wire's type follows from its ends: the node colours and the interface
+        wires = sorted(
+            (_peer_desc(d, colors, src), _peer_desc(d, colors, dst))
+            for src, dst in d._dst.items()
+        )
+        d._sig = _hash((tuple(str(t) for t in d.dom), tuple(str(t) for t in d.cod),
+                        digest, tuple(wires)))
+    return d._sig
 
 
 def _mapped_wires(d: Diagram, mapping: dict[int, int]) -> Counter:
@@ -679,9 +759,7 @@ def _mapped_wires(d: Diagram, mapping: dict[int, int]) -> Counter:
         side, nid, k = port
         return (side, mapping[nid], _port_class(d, port))
 
-    return Counter(
-        (desc(src), desc(dst), str(d.port_type(src))) for src, dst in d.wires()
-    )
+    return Counter((desc(src), desc(dst)) for src, dst in d._dst.items())
 
 
 def _identity_wires(d: Diagram) -> Counter:
@@ -694,10 +772,12 @@ def isomorphic(a: Diagram, b: Diagram) -> bool:
         return False
     if len(a.nodes) != len(b.nodes) or len(a._dst) != len(b._dst):
         return False
-    ca, cb = _wl_colors(a), _wl_colors(b)
-    if sorted(ca.values()) != sorted(cb.values()):
+    digest_a, ca = _coloring(a)
+    digest_b, cb = _coloring(b)
+    # equal digests mean equal colour tables and class sizes in every round
+    if digest_a != digest_b:
         return False
-    by_color: dict[str, list[int]] = {}
+    by_color: dict[int, list[int]] = {}
     for nid, c in cb.items():
         by_color.setdefault(c, []).append(nid)
     a_order = sorted(a.nodes, key=lambda nid: (ca[nid], nid))
@@ -748,7 +828,7 @@ def equal(d1: Diagram, d2: Diagram, scalar_gc: bool = True) -> bool:
 
 
 def _stable_ids(d: Diagram) -> dict[int, int]:
-    colors = _wl_colors(d)
+    _, colors = _coloring(d)
     order = sorted(d.nodes, key=lambda nid: (colors[nid], nid))
     return {nid: i for i, nid in enumerate(order)}
 

@@ -35,7 +35,7 @@ from .translate import (
     translate_context,
     translate_top,
 )
-from .diagram import Diagram, P, _splice, equal, normalize, signature
+from .diagram import Diagram, P, _splice, equal, normalize
 
 
 # ---------------------------------------------------------------------------
@@ -466,8 +466,7 @@ def close_with_permits(d: Diagram, dom_names: tuple[Name, ...], catalysts: int =
         h.connect(("out", cid, 0), ("in", spine, 1 + k))
     h.connect(("out", spine, 0), h.add_cod(P))
     _splice(h, d, prods, [("in", spine, 0)])
-    norm = normalize(h, scalar_gc=True)
-    return TopDiagram(norm, dom_names, catalysts, True, signature(norm))
+    return TopDiagram(normalize(h, scalar_gc=True), dom_names, catalysts, True)
 
 
 def verify_contextual_congruence(spec: CorpusSpec = SMALL_SPEC, context_bound: int = 4,

@@ -20,8 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from itertools import combinations
 
-from .diagram import Diagram, Port, normalize, signature
-from .translate import TopDiagram
+from .diagram import Diagram, Port, _rebuild_fanin, normalize
+from .translate import TopDiagram, top_equal
 
 
 class StaleDiagramRedexError(ValueError):
@@ -159,8 +159,7 @@ def apply_comm(td: TopDiagram, r: DiagramRedex) -> TopDiagram:
     """Fire one redex; the permit survives and the result is normalized."""
     d = td.diagram.copy()
     _fire_on(d, r)
-    norm = normalize(d, scalar_gc=True)
-    return TopDiagram(norm, td.name_order, td.catalysts, td.instantiated, signature(norm))
+    return TopDiagram(normalize(d, scalar_gc=True), td.name_order, td.catalysts, td.instantiated)
 
 
 def comm_step(td: TopDiagram) -> list[TopDiagram]:
@@ -168,15 +167,9 @@ def comm_step(td: TopDiagram) -> list[TopDiagram]:
     out: list[TopDiagram] = []
     for r in find_diagram_redexes(td):
         cand = apply_comm(td, r)
-        if not any(_same(cand, seen) for seen in out):
+        if not any(top_equal(cand, seen) for seen in out):
             out.append(cand)
     return out
-
-
-def _same(a: TopDiagram, b: TopDiagram) -> bool:
-    from .translate import top_equal
-
-    return top_equal(a, b)
 
 
 def count_permits(td: TopDiagram) -> int:
@@ -192,36 +185,17 @@ def strip_permits(td: TopDiagram) -> TopDiagram:
             d.disconnect(cons)
             d.remove(nid)
             if cons[0] == "in" and d.nodes[cons[1]].kind == "par":
-                _shrink_par_input(d, cons[1], cons[2])
+                par = cons[1]
+                prods = [d.disconnect(("in", par, k))
+                         for k in range(d.nodes[par].arity) if k != cons[2]]
+                cons = d.consumer(("out", par, 0))
+                d.disconnect(cons)
+                d.remove(par)
             else:
                 # the permit was the whole soup; what remains is inert
-                z = d.add("stop")
-                d.connect(("out", z, 0), cons)
-    norm = normalize(d, scalar_gc=True)
-    return TopDiagram(norm, td.name_order, 0, td.instantiated, signature(norm))
-
-
-def _shrink_par_input(d: Diagram, nid: int, gone: int) -> None:
-    node = d.nodes[nid]
-    prods = []
-    for k in range(node.arity):
-        if k == gone:
-            continue
-        prods.append(d.producer(("in", nid, k)))
-        d.disconnect(("in", nid, k))
-    out_cons = d.consumer(("out", nid, 0))
-    d.disconnect(out_cons)
-    d.remove(nid)
-    if len(prods) == 1:
-        d.connect(prods[0], out_cons)
-    elif not prods:
-        z = d.add("stop")
-        d.connect(("out", z, 0), out_cons)
-    else:
-        c = d.add("par", arity=len(prods))
-        for k, pr in enumerate(prods):
-            d.connect(pr, ("in", c, k))
-        d.connect(("out", c, 0), out_cons)
+                prods = []
+            _rebuild_fanin(d, prods, cons)
+    return TopDiagram(normalize(d, scalar_gc=True), td.name_order, 0, td.instantiated)
 
 
 def concurrent_step(td: TopDiagram, permits: int | None = None) -> list[tuple[DiagramRedex, ...]]:
@@ -267,5 +241,4 @@ def apply_concurrent(td: TopDiagram, rs: tuple[DiagramRedex, ...]) -> TopDiagram
     d = td.diagram.copy()
     for r in rs:
         _fire_on(d, r)
-    norm = normalize(d, scalar_gc=True)
-    return TopDiagram(norm, td.name_order, td.catalysts, td.instantiated, signature(norm))
+    return TopDiagram(normalize(d, scalar_gc=True), td.name_order, td.catalysts, td.instantiated)

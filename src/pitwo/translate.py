@@ -31,10 +31,6 @@ from .diagram import (
 from .syntax import Hole, Input, Name, New, Output, Par, Process, Stop, free_names
 
 
-def _route(d: Diagram, src: Port, consumers: list[Port]) -> None:
-    _rebuild_fanout(d, src, consumers)
-
-
 def _merge(into: dict[Name, list[Port]], extra: dict[Name, list[Port]]) -> None:
     for name, ports in extra.items():
         into.setdefault(name, []).extend(ports)
@@ -65,17 +61,17 @@ def _emit(p: Process, d: Diagram, hole_names: tuple[Name, ...] | None = None
         case New(binder, body):
             bo, bd = _emit(body, d, hole_names)
             nid = d.add("fresh")
-            _route(d, ("out", nid, 0), bd.pop(binder, []))
+            _rebuild_fanout(d, ("out", nid, 0), bd.pop(binder, []))
             return bo, bd
         case Input(subject, params, body):
             inner = Diagram()
             bo, bd = _emit(body, inner, hole_names)
             inner.connect(bo, inner.add_cod(P))
             for y in params:
-                _route(inner, inner.add_dom(N), bd.pop(y, []))
+                _rebuild_fanout(inner, inner.add_dom(N), bd.pop(y, []))
             captured = sorted(bd)
             for c in captured:
-                _route(inner, inner.add_dom(N), bd.pop(c))
+                _rebuild_fanout(inner, inner.add_dom(N), bd.pop(c))
             n = len(params)
             tid = d.add("thunk", arity=n, cap=len(captured), inner=inner)
             rid = d.add("recv", arity=n)
@@ -101,7 +97,7 @@ def translate(p: Process) -> Diagram:
     out, demands = _emit(p, d)
     d.connect(out, d.add_cod(P))
     for name in sorted(free_names(p)):
-        _route(d, d.add_dom(N), demands.pop(name))
+        _rebuild_fanout(d, d.add_dom(N), demands.pop(name))
     assert not demands, f"unrouted names: {sorted(demands)}"
     return d
 
@@ -114,7 +110,11 @@ class TopDiagram:
     name_order: tuple[Name, ...]
     catalysts: int
     instantiated: bool
-    sig: str
+
+    @property
+    def sig(self) -> str:
+        """The diagram's signature, computed on first read and cached on the diagram."""
+        return signature(self.diagram)
 
     def __repr__(self) -> str:
         return (
@@ -148,10 +148,9 @@ def translate_top(p: Process, catalysts: int = 1, instantiate: bool = True) -> T
             src: Port = ("out", d.add("name", label=name.id), 0)
         else:
             src = d.add_dom(N)
-        _route(d, src, demands.pop(name))
+        _rebuild_fanout(d, src, demands.pop(name))
     assert not demands
-    norm = normalize(d, scalar_gc=True)
-    return TopDiagram(norm, names, catalysts, instantiate, signature(norm))
+    return TopDiagram(normalize(d, scalar_gc=True), names, catalysts, instantiate)
 
 
 def top_equal(a: TopDiagram, b: TopDiagram) -> bool:
@@ -213,7 +212,7 @@ def translate_context(c: Process, plug_names: tuple[Name, ...]) -> DiagramContex
     d.connect(out, d.add_cod(P))
     dom_names = tuple(sorted(demands))
     for name in dom_names:
-        _route(d, d.add_dom(N), demands.pop(name))
+        _rebuild_fanout(d, d.add_dom(N), demands.pop(name))
     return DiagramContext(d, plug_names, dom_names)
 
 
@@ -238,6 +237,8 @@ def _plug_into(d: Diagram, f: Diagram) -> bool:
     for nid in sorted(d.nodes):
         node = d.nodes[nid]
         if node.inner is not None and _plug_into(node.inner, f):
+            # the inner diagram changed in place, so d's colouring is stale
+            d._invalidate()
             return True
     return False
 

@@ -1,7 +1,15 @@
 import itertools
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
 
+import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
+
+import pitwo
 
 from conftest import process_st
 from pitwo import diagram as dg
@@ -27,7 +35,7 @@ from pitwo.diagram import (
     tensor_type,
 )
 from pitwo.syntax import parse
-from pitwo.translate import translate
+from pitwo.translate import translate, translate_top
 
 
 def closed_proc(label: str) -> Diagram:
@@ -308,3 +316,94 @@ class TestExport:
     def test_stable_ids(self):
         d = normalize(translate(parse("a!() | b!(a)")))
         assert dg.to_json(d) == dg.to_json(d.copy())
+
+
+def relabel(d: Diagram, rng) -> Diagram:
+    """A copy of d whose nodes (also inside thunks) are added in a shuffled order."""
+    order = sorted(d.nodes)
+    rng.shuffle(order)
+    out = Diagram()
+    ids = {}
+    for nid in order:
+        node = d.nodes[nid]
+        inner = relabel(node.inner, rng) if node.inner is not None else None
+        ids[nid] = out.add(node.kind, node.arity, node.cap, node.label, inner)
+    for t in d.dom:
+        out.add_dom(t)
+    for t in d.cod:
+        out.add_cod(t)
+
+    def move(port):
+        return port if port[0] in ("dom", "cod") else (port[0], ids[port[1]], port[2])
+
+    for src, dst in d.wires():
+        out.connect(move(src), move(dst))
+    return out
+
+
+HASH_SEED_TERMS = [
+    "x?(y) => y!() | x!(u)",
+    "(new r)(r!(a) | r?(v) => v!(b) | a?() => b!())",
+    "a!(b) | a!(b) | b?(x, y) => (new z) x!(z, y)",
+]
+
+
+class TestColoring:
+    @settings(max_examples=80, deadline=None)
+    @given(process_st(max_leaves=5), st.randoms(use_true_random=False))
+    def test_relabelling_keeps_signature_and_equality(self, p, rng):
+        d = translate(p)
+        for x in (d, normalize(d)):
+            y = relabel(x, rng)
+            assert signature(y) == signature(x)
+            assert equal(y, x)
+
+    def test_normalizing_a_thunk_body_drops_the_cached_signature(self):
+        d = translate(parse("a?(x) => (0 | x!())"))
+        signature(d)  # caches the colouring of the unnormalized thunk body
+        assert signature(normalize(d)) == signature(normalize(translate(parse("a?(x) => x!()"))))
+
+    def test_each_mutator_drops_the_cached_signature(self):
+        d = translate(parse("a!()"))
+        sigs = [signature(d)]
+        src = d.add_dom(N)
+        sigs.append(signature(d))
+        dst = d.add_cod(N)
+        sigs.append(signature(d))
+        d.connect(src, dst)
+        sigs.append(signature(d))
+        assert signature(d) == signature(relabel(d, random.Random(0)))
+        d.disconnect(dst)
+        sigs.append(signature(d))
+        assert len(set(sigs[:4])) == 4
+        assert sigs[4] == sigs[2]
+        nid = d.add("send", arity=0)
+        d.connect(src, ("in", nid, 0))
+        d.connect(("out", nid, 0), d.add_cod(P))
+        assert signature(d) not in sigs
+        assert signature(d) == signature(d.copy()) == signature(relabel(d, random.Random(1)))
+
+    def test_signature_and_export_ignore_the_hash_seed(self):
+        code = (
+            "from pitwo.diagram import dumps, signature\n"
+            "from pitwo.syntax import parse\n"
+            "from pitwo.translate import translate_top\n"
+            f"for text in {HASH_SEED_TERMS!r}:\n"
+            "    d = translate_top(parse(text)).diagram\n"
+            "    print(signature(d))\n"
+            "    print(dumps(d))\n"
+        )
+        src = str(Path(pitwo.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        outs = [
+            subprocess.run(
+                [sys.executable, "-c", code], check=True, capture_output=True, text=True,
+                env=dict(os.environ, PYTHONPATH=path, PYTHONHASHSEED=seed),
+            ).stdout
+            for seed in ("0", "4242")
+        ]
+        assert outs[0] == outs[1]
+        assert outs[0].count("\n") > len(HASH_SEED_TERMS)
+        # the same run-stable values as this interpreter computes
+        first = translate_top(parse(HASH_SEED_TERMS[0])).diagram
+        assert outs[0].startswith(signature(first) + "\n" + dg.dumps(first))
