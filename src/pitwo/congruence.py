@@ -9,8 +9,13 @@ binders, and extruding a restriction over a parallel sibling.
 scope level, restrictions are hoisted outward over parallel composition,
 parallel components are flattened into a sorted multiset with inert
 components deleted, redundant binders in a restriction chain are pruned, and
-binders are relabeled n0, n1, ... in traversal order.  Two terms are congruent
-iff their canonical forms are structurally identical.
+each level's binders are put in the order that makes its representative
+smallest, then relabeled n0, n1, ... in traversal order.  Two terms are
+congruent iff their canonical forms are structurally identical.  The binder
+order is found by an exact branch-and-bound search, pruned by lower bounds
+and by binder swaps that are symmetries of the level.  It is fast on the
+levels met in practice but exponential in the binders of one level in the
+worst case.
 
 ``oracle_congruent`` is an independent validation path: a breadth-first
 closure that applies single axiom steps (in both directions) at arbitrary
@@ -20,7 +25,7 @@ subterm positions and tests reachability up to alpha-equivalence.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import permutations
+from operator import itemgetter
 
 from .syntax import (
     Input,
@@ -30,7 +35,6 @@ from .syntax import (
     Par,
     Process,
     Stop,
-    all_names,
     free_names,
     fresh_name,
     substitute,
@@ -45,108 +49,252 @@ CanonicalProcess = Process
 # Canonical forms
 #
 # The computation goes through an intermediate "skeleton": a nested tuple in
-# which bound names are de Bruijn-style stack positions and free names are
-# literal.  Skeletons are totally ordered by tuple comparison, which gives the
-# sorted-multiset normal form; the binder order within each restriction chain
-# is chosen to minimize the skeleton over all permutations.
+# which bound names are de Bruijn-style stack positions ("b", depth) and free
+# names are literal ("f", id).  Skeletons are totally ordered by tuple
+# comparison, which gives the sorted-multiset normal form.  A scope level is
+# what a term reaches through restrictions and parallel composition without
+# crossing an input prefix.  Its binders are collected in one pass that maps
+# each restriction to an integer token (no renamed copies), and they take the
+# positions depth, depth+1, ... in the order that makes the level's skeleton
+# smallest.  That minimum is exact, found by a branch-and-bound search over
+# binder orders (the pruning of McKay & Piperno, "Practical graph isomorphism
+# II", J. Symb. Comput. 2014):
+#
+# - Positions are handed out in increasing order, and a partial order is
+#   bounded below by giving every unassigned binder the next free position.
+#   A skeleton never grows when a position in it shrinks: an output's refs
+#   compare pointwise, sorting keeps a pointwise order, and the minimum over
+#   an inner level's orders keeps it too.  Each unassigned binder ends at that
+#   position or a later one, so the bound holds.  Children are tried in order
+#   of their bounds, and a child whose bound is not below the best complete
+#   order found so far is cut.
+# - Two binders whose swap maps the level's components to alpha-equal ones
+#   give identical subtrees, so at each node only one binder of each such
+#   class is tried.  Swapping is transitive, so the classes are computed once
+#   per level.
+# - A component's skeleton depends only on the positions of the level
+#   binders it mentions, so it is memoised per level under those positions;
+#   an order then costs a sort of cached tuples, not a re-walk.
+#
+# The worst case stays exponential in the binders of one level.  The bound
+# puts every unassigned binder at one position, so it is weak when components
+# that cannot tell binders apart sort first, and symmetries that are not
+# swaps are not pruned.  Both hold for the components a?(y) => xi!(y) and
+# xi!(x(3i mod k)) over k binders: k = 8 takes a tenth of a second, k = 10
+# more than half a minute.
+
+# Environments are keyed by name id: strings cache their hash, Names do not.
 
 
-class _Gensym:
-    """Fresh, globally distinct placeholder names for renaming binders apart."""
-
-    def __init__(self, taken: set[str]) -> None:
-        self.taken = set(taken)
-        self.i = 0
-
-    def __call__(self) -> Name:
-        while f"g{self.i}" in self.taken:
-            self.i += 1
-        name = Name(f"g{self.i}")
-        self.taken.add(name.id)
-        self.i += 1
-        return name
+def _sref(n: Name, env: dict[str, tuple]) -> tuple:
+    return env.get(n.id) or ("f", n.id)
 
 
-def _flatten_level(p: Process, gensym: _Gensym) -> tuple[list[Name], list[Process]]:
-    """Hoist and rename apart the restrictions of one scope level.
-
-    Returns the level's binders plus its parallel components (each an Input or
-    Output; Stop contributes nothing).  Renaming every hoisted binder to a
-    globally fresh name makes extrusion over siblings capture-free.
-    """
+def _alpha(p: Process, env: dict[str, tuple], d: int) -> tuple:
+    """p's alpha-invariant shape; ``env`` gives the refs of the bound names in scope."""
     match p:
         case Stop():
-            return [], []
-        case Output() | Input():
-            return [], [p]
+            return ("0",)
+        case Output(subject, args):
+            return ("!", _sref(subject, env), tuple(_sref(a, env) for a in args))
+        case Input(subject, params, body):
+            env2 = {**env, **{y.id: ("b", d + i) for i, y in enumerate(params)}}
+            return ("?", _sref(subject, env), len(params), _alpha(body, env2, d + len(params)))
         case New(binder, body):
-            g = gensym()
-            binders, comps = _flatten_level(substitute(body, {binder: g}), gensym)
-            return [g] + binders, comps
+            return ("nu", _alpha(body, {**env, binder.id: ("b", d)}, d + 1))
         case Par(left, right):
-            bl, cl = _flatten_level(left, gensym)
-            br, cr = _flatten_level(right, gensym)
-            return bl + br, cl + cr
+            return ("|", _alpha(left, env, d), _alpha(right, env, d))
     raise TypeError(f"not a process: {p!r}")
 
 
-def _ref(n: Name, env: dict[Name, int]) -> tuple:
-    if n in env:
-        return ("b", env[n])
-    return ("f", n.id)
-
-
-def _component_skeleton(c: Process, env: dict[Name, int], gensym: _Gensym, gc: bool) -> tuple:
-    match c:
-        case Output(subject, args):
-            return ("out", _ref(subject, env), tuple(_ref(a, env) for a in args))
-        case Input(subject, params, body):
-            env2 = dict(env)
-            base = len(env)
-            for i, y in enumerate(params):
-                env2[y] = base + i
-            return ("in", _ref(subject, env), len(params), _skeleton(body, env2, gensym, gc))
+def _component_skeleton(c: Process, env: dict[str, tuple], depth: int, gc: bool,
+                        levels: dict[int, tuple]) -> tuple:
+    if isinstance(c, Output):
+        return ("out", _sref(c.subject, env), tuple([_sref(a, env) for a in c.args]))
+    if isinstance(c, Input):
+        env2 = dict(env)
+        for i, y in enumerate(c.params):
+            env2[y.id] = ("b", depth + i)
+        return ("in", _sref(c.subject, env), len(c.params),
+                _skeleton(c.body, env2, depth + len(c.params), gc, levels))
     raise TypeError(f"not a component: {c!r}")
 
 
-def _skeleton(p: Process, env: dict[Name, int], gensym: _Gensym, gc: bool) -> tuple:
-    binders, comps = _flatten_level(p, gensym)
-    used = [b for b in binders if any(b in free_names(c) for c in comps)]
-    if gc:
-        keep = used
-    else:
-        # A redundant binder is deletable only while the chain holds another
-        # restriction, so a chain of vacuous binders keeps exactly one.
-        keep = used if used else binders[:1]
-    best: tuple | None = None
-    for perm in permutations(keep):
-        env2 = dict(env)
-        base = len(env)
-        for i, b in enumerate(perm):
-            env2[b] = base + i
-        skels = tuple(sorted(_component_skeleton(c, env2, gensym, gc) for c in comps))
-        if not keep and len(skels) == 1:
-            cand = skels[0]
-        elif not keep and not skels:
-            cand = ("stop",)
+def _collect(p: Process) -> tuple[int, int, list[tuple[Process, list[tuple[str, int]]]]]:
+    """One pass over the scope level rooted at p.
+
+    Returns the number of restrictions, the number m of those some component
+    mentions, and per component the (id, token) pairs of the level binders
+    it mentions, with tokens numbered 0..m-1.
+    """
+    ntokens = 0
+    found: list[tuple[Process, dict[str, int]]] = []
+    stack: list[tuple[Process, dict[str, int]]] = [(p, {})]
+    while stack:
+        q, local = stack.pop()
+        if isinstance(q, Par):
+            stack.append((q.right, local))
+            stack.append((q.left, local))
+        elif isinstance(q, New):
+            stack.append((q.body, {**local, q.binder.id: ntokens}))
+            ntokens += 1
+        elif isinstance(q, (Output, Input)):
+            found.append((q, local))
+        elif not isinstance(q, Stop):
+            raise TypeError(f"not a process: {q!r}")
+    index: dict[int, int] = {}
+    comps = []
+    for c, local in found:
+        toks: list[tuple[str, int]] = []
+        if local:
+            if isinstance(c, Output):
+                ids = {c.subject.id, *[a.id for a in c.args]}
+            else:
+                ids = {n.id for n in free_names(c)}
+            toks = [(i, index.setdefault(local[i], len(index))) for i in ids if i in local]
+        comps.append((c, toks))
+    return ntokens, len(index), comps
+
+
+def _swap_classes(var: list[tuple[Process, list[tuple[str, int]]]], env: dict[str, tuple],
+                  m: int, depth: int) -> list[int]:
+    """For each of the m tokens, the first token it can be swapped with (itself if none).
+
+    ``var`` lists the level's components that mention a token, each with its
+    (id, token) pairs; ``env`` holds the refs of the names bound outside.
+    """
+
+    def shape(ci: int, swap: dict[int, int]) -> tuple:
+        c, toks = var[ci]
+        env_c = dict(env)
+        for n, t in toks:
+            env_c[n] = ("t", swap.get(t, t))
+        return _alpha(c, env_c, depth)
+
+    base = [shape(ci, {}) for ci in range(len(var))]
+    users: list[list[int]] = [[] for _ in range(m)]
+    for ci, (_, toks) in enumerate(var):
+        for _, t in toks:
+            users[t].append(ci)
+    cls = list(range(m))
+    reps: list[int] = []
+    for t in range(m):
+        for r in reps:
+            if len(users[r]) != len(users[t]):
+                continue
+            affected = sorted(set(users[r]) | set(users[t]))
+            swapped = sorted(shape(ci, {r: t, t: r}) for ci in affected)
+            if swapped == sorted(base[ci] for ci in affected):
+                cls[t] = r
+                break
         else:
-            cand = ("level", len(keep), skels)
-        if best is None or cand < best:
-            best = cand
+            reps.append(t)
+    return cls
+
+
+def _skeleton(p: Process, env: dict[str, tuple], depth: int, gc: bool,
+              levels: dict[int, tuple]) -> tuple:
+    """The minimum skeleton of the scope level rooted at p.
+
+    ``env`` maps the ids of the bound names in scope to their refs; every
+    other name is free.  A component reads only its free names from it, so
+    all components share it and the refs of level binders are laid over it.
+    ``depth`` is the first position this level's binders take.  ``levels``
+    holds the ``_collect`` result of every level already met in this
+    canonicalisation, by id of its root (the term is alive throughout): an
+    inner level is entered again for each set of positions of the outer
+    binders it reads.
+    """
+    level = levels.get(id(p))
+    if level is None:
+        level = levels[id(p)] = _collect(p)
+    ntokens, m, comps = level
+    # A redundant binder is deletable only while the chain holds another
+    # restriction, so without gc a chain of vacuous binders keeps exactly one.
+    k = m if gc or m else min(ntokens, 1)
+    cdepth = depth + k
+
+    # A component that mentions no level binder has one skeleton under every
+    # order.  Sorted tuples of same-size multisets compare as the smallest
+    # element of their difference does, so such components are left out of
+    # the search and merged back at the end.
+    const = [_component_skeleton(c, env, cdepth, gc, levels) for c, toks in comps if not toks]
+    if m == 0:
+        skels = tuple(sorted(const))
+        if k == 0:
+            if len(skels) == 1:
+                return skels[0]
+            if not skels:
+                return ("stop",)
+        return ("level", k, skels)
+
+    # The other components' skeletons, each memoised under the positions of
+    # the tokens it mentions (read from ``pos`` by its getter).
+    var = [(c, toks) for c, toks in comps if toks]
+    getters = [(itemgetter(*[t for _, t in toks]), {}) for _, toks in var]
+    pos = [0] * m
+
+    def skeletons() -> tuple:
+        out = []
+        for (c, toks), (get, memo) in zip(var, getters):
+            key = get(pos)
+            s = memo.get(key)
+            if s is None:
+                e = dict(env)
+                for n, t in toks:
+                    e[n] = ("b", depth + pos[t])
+                s = memo[key] = _component_skeleton(c, e, cdepth, gc, levels)
+            out.append(s)
+        out.sort()
+        return tuple(out)
+
+    # With two binders the search tries at most two orders, fewer than the
+    # swap test would cost.
+    cls = _swap_classes(var, env, m, cdepth) if m >= 3 else list(range(m))
+    best: tuple | None = None
+
+    def search(j: int, remaining: list[int]) -> None:
+        nonlocal best
+        children = []
+        tried = set()
+        for t in remaining:
+            if cls[t] in tried:
+                continue
+            tried.add(cls[t])
+            for u in remaining:
+                pos[u] = j + 1
+            pos[t] = j
+            bound = skeletons()
+            if best is None or bound < best:
+                children.append((bound, t))
+        children.sort(key=lambda child: child[0])
+        for bound, t in children:
+            if best is not None and bound >= best:
+                break
+            if len(remaining) == 1:
+                best = bound
+            else:
+                pos[t] = j
+                search(j + 1, [u for u in remaining if u != t])
+
+    search(0, list(range(m)))
     assert best is not None
-    return best
+    return ("level", k, tuple(sorted((*const, *best))))
 
 
 class _Namer:
     """Deterministic binder labels n0, n1, ... skipping the free names."""
 
     def __init__(self, avoid: frozenset[Name]) -> None:
-        self.taken = set(avoid)
+        self.taken = {n.id for n in avoid}
+        self.i = 0
 
     def __call__(self) -> Name:
-        n = fresh_name(self.taken)
-        self.taken.add(n)
-        return n
+        # Labels only grow, so the first free label never lies below the last.
+        while f"n{self.i}" in self.taken:
+            self.i += 1
+        self.i += 1
+        return Name(f"n{self.i - 1}")
 
 
 def _rebuild(skel: tuple, stack: list[Name], namer: _Namer) -> Process:
@@ -192,9 +340,7 @@ def canonical_form(p: Process, gc_vacuous: bool = False) -> CanonicalProcess:
     by default only the redundancy expressible with the chain laws is (a lone
     vacuous restriction such as (new x)0 survives).
     """
-    gensym = _Gensym({n.id for n in all_names(p)})
-    skel = _skeleton(p, {}, gensym, gc_vacuous)
-    return _rebuild(skel, [], _Namer(free_names(p)))
+    return _rebuild(_skeleton(p, {}, 0, gc_vacuous, {}), [], _Namer(free_names(p)))
 
 
 def congruent(p: Process, q: Process, gc_vacuous: bool = False) -> bool:
@@ -219,23 +365,7 @@ def term_size(p: Process) -> int:
 
 def alpha_key(p: Process) -> tuple:
     """A hashable key equal for exactly the alpha-equivalent terms."""
-
-    def go(p: Process, env: dict[Name, int], d: int) -> tuple:
-        match p:
-            case Stop():
-                return ("0",)
-            case Output(subject, args):
-                return ("!", _ref(subject, env), tuple(_ref(a, env) for a in args))
-            case Input(subject, params, body):
-                env2 = {**env, **{y: d + i for i, y in enumerate(params)}}
-                return ("?", _ref(subject, env), len(params), go(body, env2, d + len(params)))
-            case New(binder, body):
-                return ("nu", go(body, {**env, binder: d}, d + 1))
-            case Par(left, right):
-                return ("|", go(left, env, d), go(right, env, d))
-        raise TypeError(f"not a process: {p!r}")
-
-    return go(p, {}, 0)
+    return _alpha(p, {}, 0)
 
 
 def _root_moves(p: Process):

@@ -27,6 +27,7 @@ from .opsem import reduce_step
 from .rewrite import _spine, comm_step, find_diagram_redexes, strip_permits, trace_subject
 from .syntax import Hole, Input, Name, New, Output, Par, Process, Stop, free_names, pretty
 from .translate import (
+    DiagramContext,
     TopDiagram,
     plug_diagram,
     plug_term,
@@ -480,12 +481,17 @@ def verify_contextual_congruence(spec: CorpusSpec = SMALL_SPEC, context_bound: i
     plugs = enumerate_terms(spec)[:max_plugs]
     report = VerificationReport("contextual-congruence", len(contexts), 0)
 
+    # Neither plug_diagram nor equal mutates its arguments, so each plug is
+    # translated once and each context once per distinct plug name order.
+    plug_diagrams = [translate(p) for p in plugs]
+    orders = [tuple(sorted(free_names(p))) for p in plugs]
     for c in contexts:
-        for p in plugs:
+        ctxs: dict[tuple[Name, ...], DiagramContext] = {}
+        for p, f, order in zip(plugs, plug_diagrams, orders):
             report.checked += 1
-            order = tuple(sorted(free_names(p)))
-            ctx = translate_context(c, order)
-            via_functor = plug_diagram(ctx, translate(p))
+            if order not in ctxs:
+                ctxs[order] = translate_context(c, order)
+            via_functor = plug_diagram(ctxs[order], f)
             direct = translate(plug_term(c, p))
             if not equal(via_functor, direct):
                 report.counterexamples.append({
@@ -504,9 +510,8 @@ def verify_contextual_congruence(spec: CorpusSpec = SMALL_SPEC, context_bound: i
         for ci, c in enumerate(picked):
             filled = plug_term(c, p)
             plugged[(ti, ci)] = filled
-            order = tuple(sorted(free_names(p)))
-            ctx = translate_context(c, order)
-            tops[(ti, ci)] = close_with_permits(plug_diagram(ctx, translate(p)), ctx.dom_names)
+            ctx = translate_context(c, orders[ti])
+            tops[(ti, ci)] = close_with_permits(plug_diagram(ctx, plug_diagrams[ti]), ctx.dom_names)
     states, index, succ = reduction_union(list(plugged.values()))
     syn_blocks = partition_refine(succ, [barbs(s) for s in states])
     lts = DiagramLTS()

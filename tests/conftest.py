@@ -1,13 +1,15 @@
 """Shared strategies and independent oracle implementations for the tests.
 
 The oracles here deliberately re-derive results through a different route
-than the library code: naive inductive reduction, rename-apart substitution,
-and a greatest-fixpoint bisimulation over the full relation lattice.
+than the library code: canonical forms by renamed copies and every binder
+order, naive inductive reduction, rename-apart substitution, and a
+greatest-fixpoint bisimulation over the full relation lattice.
 """
 
 from __future__ import annotations
 
 import random
+from itertools import permutations
 
 import hypothesis.strategies as st
 from hypothesis import HealthCheck, settings
@@ -20,7 +22,14 @@ settings.register_profile(
 settings.load_profile("pitwo")
 
 from pitwo.bisim import barbs, reduction_union
-from pitwo.congruence import _axiom_neighbors, alpha_key, canonical_form, term_size
+from pitwo.congruence import (
+    _Namer,
+    _axiom_neighbors,
+    _rebuild,
+    alpha_key,
+    canonical_form,
+    term_size,
+)
 from pitwo.syntax import (
     Input,
     Name,
@@ -30,6 +39,7 @@ from pitwo.syntax import (
     Process,
     Stop,
     all_names,
+    free_names,
     substitute,
 )
 
@@ -81,6 +91,89 @@ def random_term(rng: random.Random, size: int, names=POOL) -> Process:
         return New(rng.choice(names), random_term(rng, size - 1, names))
     ls = rng.randint(1, size - 2)
     return Par(random_term(rng, ls, names), random_term(rng, size - 1 - ls, names))
+
+
+# ---------------------------------------------------------------------------
+# Canonical-form oracle: rename every restriction of a scope level apart with
+# substitute, then take the minimum skeleton over every order of its binders.
+# It builds the same skeletons as the library (shared by _rebuild), but by
+# brute force: exponential in the binders of one level, for small terms only.
+
+
+class _Gensym:
+    """Fresh, globally distinct placeholder names for renaming binders apart."""
+
+    def __init__(self, taken: set[str]) -> None:
+        self.taken = set(taken)
+        self.i = 0
+
+    def __call__(self) -> Name:
+        while f"g{self.i}" in self.taken:
+            self.i += 1
+        name = Name(f"g{self.i}")
+        self.taken.add(name.id)
+        self.i += 1
+        return name
+
+
+def _naive_flatten(p: Process, gensym: _Gensym) -> tuple[list[Name], list[Process]]:
+    match p:
+        case Stop():
+            return [], []
+        case Output() | Input():
+            return [], [p]
+        case New(binder, body):
+            g = gensym()
+            binders, comps = _naive_flatten(substitute(body, {binder: g}), gensym)
+            return [g] + binders, comps
+        case Par(left, right):
+            bl, cl = _naive_flatten(left, gensym)
+            br, cr = _naive_flatten(right, gensym)
+            return bl + br, cl + cr
+    raise TypeError(f"not a process: {p!r}")
+
+
+def _naive_ref(n: Name, env: dict[Name, int]) -> tuple:
+    return ("b", env[n]) if n in env else ("f", n.id)
+
+
+def _naive_component(c: Process, env: dict[Name, int], depth: int, gensym: _Gensym,
+                     gc: bool) -> tuple:
+    match c:
+        case Output(subject, args):
+            return ("out", _naive_ref(subject, env), tuple(_naive_ref(a, env) for a in args))
+        case Input(subject, params, body):
+            env2 = {**env, **{y: depth + i for i, y in enumerate(params)}}
+            return ("in", _naive_ref(subject, env), len(params),
+                    _naive_skeleton(body, env2, depth + len(params), gensym, gc))
+    raise TypeError(f"not a component: {c!r}")
+
+
+def _naive_skeleton(p: Process, env: dict[Name, int], depth: int, gensym: _Gensym,
+                    gc: bool) -> tuple:
+    binders, comps = _naive_flatten(p, gensym)
+    used = [b for b in binders if any(b in free_names(c) for c in comps)]
+    keep = used if gc or used else binders[:1]
+    best: tuple | None = None
+    for perm in permutations(keep):
+        env2 = {**env, **{b: depth + i for i, b in enumerate(perm)}}
+        skels = tuple(sorted(
+            _naive_component(c, env2, depth + len(keep), gensym, gc) for c in comps))
+        if not keep and len(skels) == 1:
+            cand = skels[0]
+        elif not keep and not skels:
+            cand = ("stop",)
+        else:
+            cand = ("level", len(keep), skels)
+        if best is None or cand < best:
+            best = cand
+    assert best is not None
+    return best
+
+
+def naive_canonical_form(p: Process, gc_vacuous: bool = False) -> Process:
+    gensym = _Gensym({n.id for n in all_names(p)})
+    return _rebuild(_naive_skeleton(p, {}, 0, gensym, gc_vacuous), [], _Namer(free_names(p)))
 
 
 # ---------------------------------------------------------------------------

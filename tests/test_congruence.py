@@ -1,6 +1,10 @@
+import time
+
+import hypothesis.strategies as st
+import pytest
 from hypothesis import given, settings
 
-from conftest import congruence_class_terms, process_st
+from conftest import congruence_class_terms, naive_canonical_form, process_st
 from pitwo.congruence import (
     alpha_key,
     canonical_form,
@@ -117,3 +121,90 @@ class TestOracle:
         p = parse("(new x)(x!() | 0) | a?() => 0")
         for q in congruence_class_terms(p):
             assert congruent(p, q), pretty(q)
+
+
+def _level(k: int, comps: list[str]) -> str:
+    """k restrictions x0..x(k-1) over the parallel composition of comps."""
+    return "".join(f"(new x{i}) " for i in range(k)) + "(" + " | ".join(comps) + ")"
+
+
+class TestShadowedParameter:
+    # The inner y shadows the outer one; z must still get a position of its own.
+    P = "a?(y) => b?(y) => (new z)(z!(y))"
+    Q = "a?(y) => b?(y) => (new z)(z!(z))"
+
+    @pytest.mark.parametrize("gc", [False, True])
+    def test_sends_on_z_are_told_apart(self, gc):
+        p, q = parse(self.P), parse(self.Q)
+        assert not oracle_congruent(p, q, depth=50)
+        assert not congruent(p, q, gc)
+        assert pretty(canonical_form(p, gc)) == "a?(n0) => b?(n1) => (new n2) n2!(n1)"
+        assert pretty(canonical_form(q, gc)) == "a?(n0) => b?(n1) => (new n2) n2!(n2)"
+
+    @pytest.mark.parametrize("text", [P, Q])
+    def test_form_is_congruent_to_input(self, text):
+        p = parse(text)
+        assert oracle_congruent(p, canonical_form(p), depth=50)
+
+
+# Levels of 2 to 6 binders: symmetric and asymmetric components, rings,
+# vacuous binders, and inner levels that read the outer binders.
+MULTI_BINDER_TERMS = [
+    "(new x)(new z)(x!(z) | z!(x))",
+    "(new x)(new z)(a!(x) | a!(z) | x?() => z!())",
+    _level(3, ["x0!(x1)", "x1!(x2)", "a!(x0)"]),
+    _level(3, ["a?() => 0", "b!()"]),
+    _level(4, ["x0!()", "x1!()", "x2!(x3)", "x3!(x2)"]),
+    _level(4, ["a?(y) => (new w)(w!(x0) | y!(x1))", "x2!(x0)", "x3!(x3)"]),
+    _level(4, ["x0?(y) => (new w)(new v)(w!(v) | v!(x3) | y!(w))", "x1!(x2)", "x2!(x1)"]),
+    _level(5, [f"x{i}!(x{(i + 1) % 5})" for i in range(5)]),
+    _level(5, ["x0!(x1)", "x1!(x0)", "x2?() => x3!(x4)", "x4?() => x2!(x3)", "x3!(a)"]),
+    _level(6, ["x0!(x1)", "x1!(x0)", "x2!(x3)", "x3!(x2)", "x4!(x5)", "x5!(x5)", "b!()"]),
+    _level(6, ["a?(y) => x0!(y)", "a?(y) => x1!(y)", "x2?() => x3!(x4)", "x4!(x5)",
+               "(new x0) x0!(x1)"]),
+    _level(6, [f"a?(y) => x{i}!(y) | x{i}!(x{(2 * i + 1) % 6})" for i in range(6)]),
+]
+
+
+class TestAgainstNaiveOracle:
+    """canonical_form against the renamed-copy, every-binder-order search."""
+
+    @settings(max_examples=200)
+    @given(process_st(), st.booleans())
+    def test_random_terms(self, p, gc):
+        assert canonical_form(p, gc) == naive_canonical_form(p, gc)
+
+    @pytest.mark.parametrize("gc", [False, True])
+    @pytest.mark.parametrize("text", MULTI_BINDER_TERMS)
+    def test_multi_binder_levels(self, text, gc):
+        p = parse(text)
+        assert canonical_form(p, gc) == naive_canonical_form(p, gc)
+
+
+class TestBinderSearchBudget:
+    """Levels the every-order search takes seconds or more on.
+
+    The budget is generous: on a 2-vCPU VM each took at most 0.1 s.  The
+    uncached function is timed, so an earlier call cannot make it pass.
+    """
+
+    PROBES = {
+        "12 independent binders": _level(12, [f"x{i}!()" for i in range(12)]),
+        "12-binder ring": _level(12, [f"x{i}!(x{(i + 1) % 12})" for i in range(12)]),
+        "8 binders read by inputs": _level(
+            8, [f"a?(y) => x{i}!(y) | x{i}!(x{3 * i % 8})" for i in range(8)]),
+    }
+
+    @pytest.mark.parametrize("name", list(PROBES))
+    def test_under_one_second(self, name):
+        p = parse(self.PROBES[name])
+        for gc in (False, True):
+            t0 = time.perf_counter()
+            c = canonical_form.__wrapped__(p, gc)
+            assert time.perf_counter() - t0 < 1.0
+            assert canonical_form(c, gc) == c
+
+    def test_ring_form(self):
+        c = canonical_form(parse(self.PROBES["12-binder ring"]))
+        ring = " | ".join(f"n{i}!(n{(i + 1) % 12})" for i in range(12))
+        assert pretty(c) == "".join(f"(new n{i}) " for i in range(12)) + f"({ring})"
