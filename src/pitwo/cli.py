@@ -126,11 +126,12 @@ def cmd_translate(args) -> int:
     return 0
 
 
-def _redex_payload(r) -> dict:
+def _redex_payload(r, ids: dict[int, int]) -> dict:
+    """A redex under the node ids of the diagram's JSON and DOT export."""
     return {
-        "output_node": r.output_node,
-        "input_node": r.input_node,
-        "catalyst": r.catalyst,
+        "output_node": ids[r.output_node],
+        "input_node": ids[r.input_node],
+        "catalyst": ids[r.catalyst],
         "arity": r.arity,
     }
 
@@ -138,14 +139,14 @@ def _redex_payload(r) -> dict:
 def cmd_redexes(args) -> int:
     p = _read_term(args.term)
     td = translate_top(p, catalysts=args.comm_tokens, instantiate=True)
-    rs = find_diagram_redexes(td)
+    ids = dg._stable_ids(td.diagram)
+    rs = [_redex_payload(r, ids) for r in find_diagram_redexes(td)]
     lines = [
-        f"[{i}] send node {r.output_node} with recv node {r.input_node} "
-        f"(arity {r.arity}, permit {r.catalyst})"
+        f"[{i}] send node {r['output_node']} with recv node {r['input_node']} "
+        f"(arity {r['arity']}, permit {r['catalyst']})"
         for i, r in enumerate(rs)
     ]
-    _emit(args, "\n".join(lines) if lines else "(no redexes)",
-          {"redexes": [_redex_payload(r) for r in rs]})
+    _emit(args, "\n".join(lines) if lines else "(no redexes)", {"redexes": rs})
     return 0
 
 
@@ -164,13 +165,13 @@ def cmd_crewrite(args) -> int:
 def cmd_concurrent(args) -> int:
     p = _read_term(args.term)
     td = translate_top(p, catalysts=args.comm_tokens, instantiate=True)
-    steps = concurrent_step(td, args.comm_tokens)
+    ids = dg._stable_ids(td.diagram)
+    steps = [[_redex_payload(r, ids) for r in rs] for rs in concurrent_step(td, args.comm_tokens)]
     lines = []
     for i, rs in enumerate(steps):
-        inner = ", ".join(f"({r.output_node},{r.input_node})@{r.catalyst}" for r in rs)
+        inner = ", ".join(f"({r['output_node']},{r['input_node']})@{r['catalyst']}" for r in rs)
         lines.append(f"[{i}] fires {len(rs)} redexes: {inner}")
-    payload = {"steps": [[_redex_payload(r) for r in rs] for rs in steps]}
-    _emit(args, "\n".join(lines) if lines else "(no joint steps)", payload)
+    _emit(args, "\n".join(lines) if lines else "(no joint steps)", {"steps": steps})
     return 0
 
 

@@ -833,14 +833,19 @@ def _stable_ids(d: Diagram) -> dict[int, int]:
     return {nid: i for i, nid in enumerate(order)}
 
 
+def _export_end(ids: dict[int, int], port: Port) -> list:
+    """A wire end under the export ids; sorting by it orders wires canonically."""
+    if port[0] in ("dom", "cod"):
+        return [port[0], port[1]]
+    return [port[0], ids[port[1]], port[2]]
+
+
+def _export_wires(d: Diagram, ids: dict[int, int]) -> list[tuple[Port, Port]]:
+    return sorted(d.wires(), key=lambda w: (_export_end(ids, w[0]), _export_end(ids, w[1])))
+
+
 def to_json(d: Diagram) -> dict:
     ids = _stable_ids(d)
-
-    def end(port: Port) -> list:
-        if port[0] in ("dom", "cod"):
-            return [port[0], port[1]]
-        return [port[0], ids[port[1]], port[2]]
-
     nodes = []
     for nid in sorted(d.nodes, key=lambda n: ids[n]):
         node = d.nodes[nid]
@@ -855,8 +860,9 @@ def to_json(d: Diagram) -> dict:
             entry["inner"] = to_json(node.inner)
         nodes.append(entry)
     wires = [
-        {"from": end(src), "to": end(dst), "type": str(d.port_type(src))}
-        for src, dst in sorted(d.wires(), key=lambda w: (end(w[0]), end(w[1])))
+        {"from": _export_end(ids, src), "to": _export_end(ids, dst),
+         "type": str(d.port_type(src))}
+        for src, dst in _export_wires(d, ids)
     ]
     return {
         "dom": [str(t) for t in d.dom],
@@ -899,7 +905,7 @@ def to_dot(d: Diagram) -> str:
             return f"cod{port[1]}"
         return f"n{ids[port[1]]}"
 
-    for src, dst in d.wires():
+    for src, dst in _export_wires(d, ids):
         lines.append(f'  {end(src)} -> {end(dst)} [label="{d.port_type(src)}"];')
     lines.append("}")
     return "\n".join(lines)

@@ -70,6 +70,39 @@ class TestCommands:
         code, out = run(capsys, "--json", "redexes", "x?(y) => y!() | x!(u)")
         assert len(json.loads(out)["redexes"]) == 1
 
+    def test_redex_ids_name_export_nodes(self, capsys):
+        term = "x?(y) => y!() | x!(u)"
+        _, top = run(capsys, "--json", "translate", term, "--top")
+        kinds = {n["id"]: n["kind"] for n in json.loads(top)["nodes"]}
+        _, out = run(capsys, "--json", "redexes", term)
+        (r,) = json.loads(out)["redexes"]
+        assert [kinds[r[k]] for k in ("output_node", "input_node", "catalyst")] == [
+            "send", "recv", "comm"]
+
+    def test_concurrent_ids_name_export_nodes(self, capsys):
+        term = "(a?() => 0 | a!()) | (b?() => 0 | b!())"
+        _, top = run(capsys, "--json", "translate", term, "--top", "--comm-tokens", "2")
+        kinds = {n["id"]: n["kind"] for n in json.loads(top)["nodes"]}
+        _, out = run(capsys, "--json", "concurrent", term, "--comm-tokens", "2")
+        (step,) = json.loads(out)["steps"]
+        for r in step:
+            assert [kinds[r[k]] for k in ("output_node", "input_node", "catalyst")] == [
+                "send", "recv", "comm"]
+        assert len({r["catalyst"] for r in step}) == 2
+
+    def test_dot_wires_follow_json_wires(self, capsys):
+        term = "x?(y) => y!(x) | x?(z) => z!() | x!(a)"
+        _, top = run(capsys, "--json", "translate", term, "--top")
+        _, dot = run(capsys, "translate", term, "--top", "--dot")
+
+        def end(e):
+            return f"{e[0]}{e[1]}" if e[0] in ("dom", "cod") else f"n{e[1]}"
+
+        want = [(end(w["from"]), end(w["to"])) for w in json.loads(top)["wires"]]
+        got = [tuple(line.split(" [")[0].strip().split(" -> "))
+               for line in dot.splitlines() if " -> " in line]
+        assert got == want
+
     def test_crewrite(self, capsys):
         code, out = run(capsys, "--json", "crewrite", "x?(y) => y!() | x!(u)", "--index", "0")
         data = json.loads(out)
