@@ -43,6 +43,7 @@ from .translate import (
     TopDiagram,
     plug_diagram,
     plug_term,
+    seal,
     top_equal,
     translate,
     translate_context,

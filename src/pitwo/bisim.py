@@ -6,10 +6,12 @@ the greatest symmetric relation that matches single reduction steps and
 preserves barb sets; it is computed by partition refinement over the union of
 the two reachability graphs, starting from the partition induced by barb sets.
 
-``weak=True`` switches to reflexive-transitive matching (a step may be
-answered by any number of steps, and barbs are compared after any number of
-steps).  It is exploratory and intentionally conservative; the primary
-relation is the strong one.
+``weak=True`` gives weak barbed bisimilarity, where a step may be answered
+by any number of steps and barbs are compared after any number of steps.  It
+is strong bisimilarity on the saturated transition system, whose moves are
+the reflexive-transitive closure of reduction and whose labels are the weak
+barbs (the barbs of every reachable state), so the same partition refinement
+decides it.
 """
 
 from __future__ import annotations
@@ -62,10 +64,6 @@ def partition_refine(succ: Sequence[Sequence[int]], labels: Sequence[Hashable]) 
 
 def reduction_union(ps: Sequence[Process], max_states: int = 10_000) -> tuple[list[Process], dict[Process, int], list[list[int]]]:
     """Shared reachability LTS of several terms: states, index, successor lists."""
-    return _union_lts(ps, max_states)
-
-
-def _union_lts(ps: Sequence[Process], max_states: int) -> tuple[list[Process], dict[Process, int], list[list[int]]]:
     states: list[Process] = []
     index: dict[Process, int] = {}
     for p in ps:
@@ -84,6 +82,20 @@ def _union_lts(ps: Sequence[Process], max_states: int) -> tuple[list[Process], d
     return states, index, succ
 
 
+def _saturate(succ: Sequence[Sequence[int]], labels: Sequence[BarbSet]
+              ) -> tuple[list[list[int]], list[BarbSet]]:
+    """The saturated LTS: each state's reflexive-transitive successors and weak barbs."""
+    reach: list[list[int]] = []
+    for s in range(len(succ)):
+        seen, stack = {s}, [s]
+        while stack:
+            fresh = [t for t in succ[stack.pop()] if t not in seen]
+            seen.update(fresh)
+            stack.extend(fresh)
+        reach.append(sorted(seen))
+    return reach, [frozenset().union(*(labels[t] for t in r)) for r in reach]
+
+
 def bisimilar(p: Process, q: Process, max_states: int = 10_000, weak: bool = False) -> bool:
     verdict, _ = bisimilarity_verdict(p, q, max_states=max_states, weak=weak)
     return verdict
@@ -93,19 +105,14 @@ def bisimilarity_verdict(
     p: Process, q: Process, max_states: int = 10_000, weak: bool = False
 ) -> tuple[bool, str | None]:
     """Verdict plus, on failure, a human-readable distinguishing certificate."""
-    states, index, succ = _union_lts([p, q], max_states)
+    states, index, succ = reduction_union([p, q], max_states)
     i, j = index[canonical_form(p)], index[canonical_form(q)]
-    if weak:
-        reach = _reach_closure(succ)
-        succ_w = [sorted(set(t for s2 in reach[s] for t in succ[s2])) for s in range(len(states))]
-        labels = [frozenset(x for s2 in reach[s] for x in barbs(states[s2])) for s in range(len(states))]
-        related = _gfp_bisim(succ, succ_w, labels)
-        same = related(i, j)
-        return same, None if same else _weak_certificate(states, i, j)
     labels = [barbs(s) for s in states]
-    blocks = partition_refine(succ, labels)
+    blocks = partition_refine(*(_saturate(succ, labels) if weak else (succ, labels)))
     if blocks[i] == blocks[j]:
         return True, None
+    if weak:
+        return False, f"no weak bisimulation relates {pretty(states[i])} and {pretty(states[j])}"
     return False, _certificate(states, succ, blocks, i, j, depth=4)
 
 
@@ -128,42 +135,3 @@ def _certificate(states, succ, blocks, i, j, depth: int) -> str:
                     msg += "; " + _certificate(states, succ, blocks, s2, t2, depth - 1)
                 return msg
     return "states separated by refinement"
-
-
-def _reach_closure(succ: Sequence[Sequence[int]]) -> list[set[int]]:
-    n = len(succ)
-    reach = [set([i]) for i in range(n)]
-    changed = True
-    while changed:
-        changed = False
-        for i in range(n):
-            new = set(reach[i])
-            for j in list(reach[i]):
-                new |= set(succ[j])
-            if new != reach[i]:
-                reach[i] = new
-                changed = True
-    return reach
-
-
-def _gfp_bisim(succ, succ_w, labels):
-    """Greatest fixpoint over the full relation lattice, weak matching."""
-    n = len(succ)
-    rel = {(i, j) for i in range(n) for j in range(n) if labels[i] == labels[j]}
-    changed = True
-    while changed:
-        changed = False
-        for i, j in list(rel):
-            ok = all(any((a, b) in rel for b in [j] + list(succ_w[j])) for a in succ[i]) and all(
-                any((b, a) in rel for a in [i] + list(succ_w[i])) for b in succ[j]
-            )
-            if not ok:
-                rel.discard((i, j))
-                changed = True
-    return lambda i, j: (i, j) in rel
-
-
-def _weak_certificate(states, i, j) -> str:
-    return (
-        f"no weak bisimulation relates {pretty(states[i])} and {pretty(states[j])}"
-    )

@@ -31,12 +31,13 @@ from .translate import (
     TopDiagram,
     plug_diagram,
     plug_term,
+    seal,
     top_equal,
     translate,
     translate_context,
     translate_top,
 )
-from .diagram import Diagram, P, _splice, equal, normalize
+from .diagram import equal
 
 
 # ---------------------------------------------------------------------------
@@ -57,24 +58,6 @@ class CorpusSpec:
 DESK_SPEC = CorpusSpec()
 SMALL_SPEC = CorpusSpec(name_alphabet_size=2, max_prefixes=2, max_arity=1,
                         max_parallel_width=2, allow_new=True)
-
-
-def _prefix_counts(p: Process) -> tuple[int, int]:
-    match p:
-        case Stop() | Hole():
-            return 0, 0
-        case Output():
-            return 0, 1
-        case Input(_, _, body):
-            i, o = _prefix_counts(body)
-            return i + 1, o
-        case New(_, body):
-            return _prefix_counts(body)
-        case Par(left, right):
-            li, lo = _prefix_counts(left)
-            ri, ro = _prefix_counts(right)
-            return li + ri, lo + ro
-    raise TypeError(f"not a process: {p!r}")
 
 
 def _continuations(spec: CorpusSpec, names: tuple[Name, ...], ins: int, outs: int):
@@ -336,6 +319,22 @@ class DiagramLTS:
         return partition_refine([s or [] for s in self.succ], labels)
 
 
+def _bisim_blocks(terms: list[Process], tops: list[TopDiagram]) -> tuple[list[int], list[int]]:
+    """Block ids per input under term-side and diagram-side bisimilarity.
+
+    ``terms[i]`` and ``tops[i]`` are the two sides of one input.  Terms are
+    refined in their shared reduction LTS and diagrams in a ``DiagramLTS``; two
+    inputs are bisimilar on a side iff their block ids on that side are equal.
+    """
+    states, index, succ = reduction_union(terms)
+    syn_blocks = partition_refine(succ, [barbs(s) for s in states])
+    lts = DiagramLTS()
+    roots = [lts.intern(td) for td in tops]
+    sem_blocks = lts.refine()
+    return ([syn_blocks[index[canonical_form(p)]] for p in terms],
+            [sem_blocks[r] for r in roots])
+
+
 # ---------------------------------------------------------------------------
 # Reports
 
@@ -427,11 +426,7 @@ def verify_full_abstraction(spec: CorpusSpec = DESK_SPEC, max_terms: int = 200,
     """Syntactic and diagram-side bisimilarity verdicts agree on all pairs."""
     t0 = time.perf_counter()
     terms = enumerate_terms(spec)[:max_terms]
-    states, index, succ = reduction_union(terms)
-    syn_blocks = partition_refine(succ, [barbs(s) for s in states])
-    lts = DiagramLTS()
-    roots = [lts.intern(translate_top(p, 1, True)) for p in terms]
-    sem_blocks = lts.refine()
+    syn_blocks, sem_blocks = _bisim_blocks(terms, [translate_top(p, 1, True) for p in terms])
     report = VerificationReport("full-abstraction", len(terms), 0)
     pairs = 0
     for i in range(len(terms)):
@@ -439,8 +434,8 @@ def verify_full_abstraction(spec: CorpusSpec = DESK_SPEC, max_terms: int = 200,
             if pairs >= max_pairs:
                 break
             pairs += 1
-            syn = syn_blocks[index[terms[i]]] == syn_blocks[index[terms[j]]]
-            sem = sem_blocks[roots[i]] == sem_blocks[roots[j]]
+            syn = syn_blocks[i] == syn_blocks[j]
+            sem = sem_blocks[i] == sem_blocks[j]
             if syn != sem:
                 report.counterexamples.append({
                     "left": pretty(terms[i]),
@@ -453,21 +448,6 @@ def verify_full_abstraction(spec: CorpusSpec = DESK_SPEC, max_terms: int = 200,
     report.checked = pairs
     report.elapsed = time.perf_counter() - t0
     return report
-
-
-def close_with_permits(d: Diagram, dom_names: tuple[Name, ...], catalysts: int = 1) -> TopDiagram:
-    """Instantiate an open diagram's names and add permits: the runnable form."""
-    h = Diagram()
-    prods = []
-    for name in dom_names:
-        prods.append(("out", h.add("name", label=name.id), 0))
-    parts = [h.add("comm") for _ in range(catalysts)]
-    spine = h.add("par", arity=1 + catalysts)
-    for k, cid in enumerate(parts):
-        h.connect(("out", cid, 0), ("in", spine, 1 + k))
-    h.connect(("out", spine, 0), h.add_cod(P))
-    _splice(h, d, prods, [("in", spine, 0)])
-    return TopDiagram(normalize(h, scalar_gc=True), dom_names, catalysts, True)
 
 
 def verify_contextual_congruence(spec: CorpusSpec = SMALL_SPEC, context_bound: int = 4,
@@ -504,31 +484,20 @@ def verify_contextual_congruence(spec: CorpusSpec = SMALL_SPEC, context_bound: i
     terms = plugs[:max_verdict_terms]
     stride = max(1, len(contexts) // max_verdict_contexts)
     picked = contexts[::stride][:max_verdict_contexts]
-    plugged: dict[tuple[int, int], Process] = {}
-    tops: dict[tuple[int, int], TopDiagram] = {}
+    filled: list[Process] = []
+    tops: list[TopDiagram] = []
     for ti, p in enumerate(terms):
-        for ci, c in enumerate(picked):
-            filled = plug_term(c, p)
-            plugged[(ti, ci)] = filled
+        for c in picked:
+            filled.append(plug_term(c, p))
             ctx = translate_context(c, orders[ti])
-            tops[(ti, ci)] = close_with_permits(plug_diagram(ctx, plug_diagrams[ti]), ctx.dom_names)
-    states, index, succ = reduction_union(list(plugged.values()))
-    syn_blocks = partition_refine(succ, [barbs(s) for s in states])
-    lts = DiagramLTS()
-    roots = {key: lts.intern(td) for key, td in tops.items()}
-    sem_blocks = lts.refine()
+            tops.append(seal(plug_diagram(ctx, plug_diagrams[ti]), ctx.dom_names))
+    syn_blocks, sem_blocks = _bisim_blocks(filled, tops)
+    n = len(picked)
     for i in range(len(terms)):
         for j in range(i + 1, len(terms)):
             report.checked += 1
-            syn = all(
-                syn_blocks[index[canonical_form(plugged[(i, ci)])]]
-                == syn_blocks[index[canonical_form(plugged[(j, ci)])]]
-                for ci in range(len(picked))
-            )
-            sem = all(
-                sem_blocks[roots[(i, ci)]] == sem_blocks[roots[(j, ci)]]
-                for ci in range(len(picked))
-            )
+            syn = all(syn_blocks[i * n + ci] == syn_blocks[j * n + ci] for ci in range(n))
+            sem = all(sem_blocks[i * n + ci] == sem_blocks[j * n + ci] for ci in range(n))
             if syn != sem:
                 report.counterexamples.append({
                     "kind": "verdict-disagreement",

@@ -157,9 +157,7 @@ def _fire_on(d: Diagram, r: DiagramRedex) -> None:
 
 def apply_comm(td: TopDiagram, r: DiagramRedex) -> TopDiagram:
     """Fire one redex; the permit survives and the result is normalized."""
-    d = td.diagram.copy()
-    _fire_on(d, r)
-    return TopDiagram(normalize(d, scalar_gc=True), td.name_order, td.catalysts, td.instantiated)
+    return apply_concurrent(td, (r,))
 
 
 def comm_step(td: TopDiagram) -> list[TopDiagram]:
@@ -195,7 +193,7 @@ def strip_permits(td: TopDiagram) -> TopDiagram:
                 # the permit was the whole soup; what remains is inert
                 prods = []
             _rebuild_fanin(d, prods, cons)
-    return TopDiagram(normalize(d, scalar_gc=True), td.name_order, 0, td.instantiated)
+    return TopDiagram(normalize(d, scalar_gc=True), td.name_order, 0)
 
 
 def concurrent_step(td: TopDiagram, permits: int | None = None) -> list[tuple[DiagramRedex, ...]]:
@@ -241,4 +239,4 @@ def apply_concurrent(td: TopDiagram, rs: tuple[DiagramRedex, ...]) -> TopDiagram
     d = td.diagram.copy()
     for r in rs:
         _fire_on(d, r)
-    return TopDiagram(normalize(d, scalar_gc=True), td.name_order, td.catalysts, td.instantiated)
+    return TopDiagram(normalize(d, scalar_gc=True), td.name_order, td.catalysts)

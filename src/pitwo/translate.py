@@ -7,9 +7,10 @@ discard.  Input continuations are boxed into thunks whose message parameters
 are designated ports and whose remaining free names enter the box as captured
 wires.  Restriction plugs a fresh source into the binder's wire.
 
-The top-level form adds a configurable number of communication permits in
-parallel with the translated term and optionally instantiates every free name
-with a name-constant node, closing the domain.
+The top-level form is built in one place, ``seal``: it adds a configurable
+number of communication permits in parallel with an open diagram (a
+translation, or a plugged context) and optionally instantiates every free
+name with a name-constant node, closing the domain.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from .diagram import (
     N,
     P,
     Port,
+    _rebuild_fanin,
     _rebuild_fanout,
     _splice,
     isomorphic,
@@ -109,7 +111,6 @@ class TopDiagram:
     diagram: Diagram
     name_order: tuple[Name, ...]
     catalysts: int
-    instantiated: bool
 
     @property
     def sig(self) -> str:
@@ -123,34 +124,34 @@ class TopDiagram:
         )
 
 
-def translate_top(p: Process, catalysts: int = 1, instantiate: bool = True) -> TopDiagram:
-    """Translate p and compose it with ``catalysts`` communication permits.
+def seal(d: Diagram, names: tuple[Name, ...], catalysts: int = 1,
+         instantiate: bool = True) -> TopDiagram:
+    """The top-level form of an open diagram N^k -> P whose domain carries ``names``.
 
-    With ``instantiate`` each free name is fed by a name-constant node and the
-    domain is closed; otherwise free names stay as domain ports.
+    Takes ownership of d, a fresh diagram from ``translate`` or ``plug_diagram``,
+    and seals it in place: ``catalysts`` communication permits go in parallel with
+    its codomain, and with ``instantiate`` each domain port's consumer is rewired
+    to a name-constant node, closing the domain; otherwise free names stay as
+    domain ports.
     """
     if catalysts < 0:
         raise ValueError("catalyst count must be >= 0")
-    d = Diagram()
-    out, demands = _emit(p, d)
-    parts = [out] + [("out", d.add("comm"), 0) for _ in range(catalysts)]
-    if len(parts) == 1:
-        top = parts[0]
-    else:
-        nid = d.add("par", arity=len(parts))
-        for k, pr in enumerate(parts):
-            d.connect(pr, ("in", nid, k))
-        top = ("out", nid, 0)
-    d.connect(top, d.add_cod(P))
-    names = tuple(sorted(free_names(p)))
-    for name in names:
-        if instantiate:
-            src: Port = ("out", d.add("name", label=name.id), 0)
-        else:
-            src = d.add_dom(N)
-        _rebuild_fanout(d, src, demands.pop(name))
-    assert not demands
-    return TopDiagram(normalize(d, scalar_gc=True), names, catalysts, instantiate)
+    if catalysts:
+        parts = [d.disconnect(("cod", 0))] + [("out", d.add("comm"), 0) for _ in range(catalysts)]
+        _rebuild_fanin(d, parts, ("cod", 0))
+    if instantiate:
+        for k, name in enumerate(names):
+            cons = d.consumer(("dom", k))
+            d.disconnect(cons)
+            d.connect(("out", d.add("name", label=name.id), 0), cons)
+        d.dom = []
+        d._invalidate()
+    return TopDiagram(normalize(d, scalar_gc=True), names, catalysts)
+
+
+def translate_top(p: Process, catalysts: int = 1, instantiate: bool = True) -> TopDiagram:
+    """Translate p and seal it with ``catalysts`` permits (see ``seal``)."""
+    return seal(translate(p), tuple(sorted(free_names(p))), catalysts, instantiate)
 
 
 def top_equal(a: TopDiagram, b: TopDiagram) -> bool:

@@ -291,22 +291,49 @@ def substitution_oracle(p: Process, mapping: dict[Name, Name]) -> Process:
 
 
 # ---------------------------------------------------------------------------
-# Greatest-fixpoint bisimilarity over the full relation lattice.
+# Greatest-fixpoint bisimilarity over the full relation lattice, strong and weak.
 
 
-def gfp_bisimilar(p: Process, q: Process) -> bool:
+def gfp_bisimilar(p: Process, q: Process, weak: bool = False) -> bool:
+    """Bisimilarity as the largest relation that survives every check.
+
+    Strong: each step is answered by one step.  Weak: each step is answered by
+    any number of steps (zero included), and states are labelled by the barbs
+    they can reach after any number of steps.
+    """
     states, index, succ = reduction_union([p, q])
-    labels = [barbs(s) for s in states]
-    n = len(states)
+    rel = gfp_relation(succ, [barbs(s) for s in states], weak)
+    return (index[canonical_form(p)], index[canonical_form(q)]) in rel
+
+
+def gfp_relation(succ: list[list[int]], barb_sets: list, weak: bool = False) -> set[tuple[int, int]]:
+    n = len(succ)
+    answers = succ
+    labels = barb_sets
+    if weak:
+        # reflexive-transitive closure by iterating one-step extension to a fixpoint
+        reach = [{i} for i in range(n)]
+        changed = True
+        while changed:
+            changed = False
+            for i in range(n):
+                new = set(reach[i])
+                for j in reach[i]:
+                    new |= set(succ[j])
+                if new != reach[i]:
+                    reach[i] = new
+                    changed = True
+        answers = [sorted(r) for r in reach]
+        labels = [frozenset(x for s2 in reach[s] for x in barb_sets[s2]) for s in range(n)]
     rel = {(i, j) for i in range(n) for j in range(n) if labels[i] == labels[j]}
     changed = True
     while changed:
         changed = False
         for i, j in sorted(rel):
-            ok = all(any((a, b) in rel for b in succ[j]) for a in succ[i]) and all(
-                any((a, b) in rel for a in succ[i]) for b in succ[j]
+            ok = all(any((a, b) in rel for b in answers[j]) for a in succ[i]) and all(
+                any((a, b) in rel for a in answers[i]) for b in succ[j]
             )
             if not ok:
                 rel.discard((i, j))
                 changed = True
-    return (index[canonical_form(p)], index[canonical_form(q)]) in rel
+    return rel

@@ -1,7 +1,14 @@
 from hypothesis import given, settings
 
-from conftest import gfp_bisimilar, process_st
-from pitwo.bisim import barbs, bisimilar, bisimilarity_verdict
+from conftest import gfp_bisimilar, gfp_relation, process_st
+from pitwo.bisim import (
+    _saturate,
+    barbs,
+    bisimilar,
+    bisimilarity_verdict,
+    partition_refine,
+    reduction_union,
+)
 from pitwo.congruence import congruent
 from pitwo.harness import CorpusSpec, enumerate_terms
 from pitwo.syntax import Name, free_names, parse
@@ -94,3 +101,18 @@ class TestProperties:
     @given(process_st(max_leaves=4), process_st(max_leaves=4))
     def test_partition_refinement_matches_gfp(self, p, q):
         assert bisimilar(p, q) == gfp_bisimilar(p, q)
+
+    @settings(max_examples=60, deadline=None)
+    @given(process_st(max_leaves=4), process_st(max_leaves=4))
+    def test_weak_refinement_matches_gfp(self, p, q):
+        assert bisimilar(p, q, weak=True) == gfp_bisimilar(p, q, weak=True)
+
+    def test_weak_refinement_matches_gfp_on_every_state_pair(self):
+        terms = enumerate_terms(CorpusSpec(2, 3, 1, 3, True))[:150]
+        states, _, succ = reduction_union(terms)
+        labels = [barbs(s) for s in states]
+        blocks = partition_refine(*_saturate(succ, labels))
+        rel = gfp_relation(succ, labels, weak=True)
+        n = len(states)
+        assert n > 150
+        assert {(i, j) for i in range(n) for j in range(n) if blocks[i] == blocks[j]} == rel

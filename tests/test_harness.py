@@ -4,7 +4,6 @@ from pitwo.harness import (
     DESK_SPEC,
     SMALL_SPEC,
     DiagramLTS,
-    close_with_permits,
     enumerate_all_terms,
     enumerate_contexts,
     enumerate_terms,
@@ -15,8 +14,16 @@ from pitwo.harness import (
     verify_observation_lemma,
     verify_reduction_lemma,
 )
-from pitwo.syntax import Name, free_names, parse, pretty
-from pitwo.translate import translate, translate_top
+from pitwo.syntax import Hole, Input, Name, New, Output, Par, free_names, parse, pretty
+from pitwo.translate import (
+    plug_diagram,
+    plug_term,
+    seal,
+    top_equal,
+    translate,
+    translate_context,
+    translate_top,
+)
 
 
 class TestEnumerate:
@@ -124,10 +131,16 @@ class TestDiagramLTS:
         k = lts.intern(translate_top(parse("a!()"), 1, True))
         assert i == j != k
 
-    def test_close_with_permits_matches_translate_top(self):
-        from pitwo.translate import top_equal
-
+    def test_seal_of_translation_matches_translate_top(self):
         p = parse("x?(y) => y!() | x!(u)")
         order = tuple(sorted(free_names(p)))
-        td = close_with_permits(translate(p), order)
-        assert top_equal(td, translate_top(p, 1, True))
+        for k in (0, 1, 2):
+            assert top_equal(seal(translate(p), order, k), translate_top(p, k, True))
+
+    def test_seal_of_plugged_context_matches_translate_top(self):
+        x, y, u = Name("x"), Name("y"), Name("u")
+        c = Par(Input(x, (y,), Hole()), New(u, Output(x, (u,))))
+        p = parse("y!(a)")
+        ctx = translate_context(c, tuple(sorted(free_names(p))))
+        td = seal(plug_diagram(ctx, translate(p)), ctx.dom_names)
+        assert top_equal(td, translate_top(plug_term(c, p), 1, True))
