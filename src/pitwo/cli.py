@@ -15,7 +15,7 @@ import sys
 from . import diagram as dg
 from .bisim import barbs, bisimilarity_verdict
 from .congruence import canonical_form, congruent
-from .harness import VERIFIERS, CorpusSpec, DESK_SPEC, SMALL_SPEC
+from .harness import NAME_ALPHABET, VERIFIERS, CorpusSpec, DESK_SPEC, SMALL_SPEC
 from .opsem import StateBudgetError, reachable, reduce_step
 from .rewrite import (
     StaleDiagramRedexError,
@@ -193,6 +193,13 @@ def cmd_verify(args) -> int:
     return 0 if report.passed else 1
 
 
+def _nonnegative(text: str) -> int:
+    """argparse type of a count option: a usage error unless a non-negative integer."""
+    if not (text.isascii() and text.isdigit()):
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="pitwo",
@@ -225,21 +232,22 @@ def build_parser() -> argparse.ArgumentParser:
     sp = term_cmd("translate", "diagram of a term")
     sp.add_argument("--top", action="store_true", help="add permits and instantiate names")
     sp.add_argument("--open", action="store_true", help="keep free names as open ports")
-    sp.add_argument("--comm-tokens", type=int, default=1, metavar="K")
+    sp.add_argument("--comm-tokens", type=_nonnegative, default=1, metavar="K")
     sp.add_argument("--dot", action="store_true", help="emit Graphviz DOT")
     sp = term_cmd("redexes", "diagram redexes of the top form")
-    sp.add_argument("--comm-tokens", type=int, default=1, metavar="K")
+    sp.add_argument("--comm-tokens", type=_nonnegative, default=1, metavar="K")
     sp = term_cmd("crewrite", "apply one diagram rewrite")
     sp.add_argument("--index", type=int, required=True, metavar="I")
-    sp.add_argument("--comm-tokens", type=int, default=1, metavar="K")
+    sp.add_argument("--comm-tokens", type=_nonnegative, default=1, metavar="K")
     sp.add_argument("--dot", action="store_true")
     sp = term_cmd("concurrent", "maximal joint rewrite steps")
-    sp.add_argument("--comm-tokens", type=int, default=2, metavar="K")
+    sp.add_argument("--comm-tokens", type=_nonnegative, default=2, metavar="K")
     sp = sub.add_parser("verify", help="run a verification suite")
     sp.add_argument("--lemma", required=True, choices=sorted(VERIFIERS))
     sp.add_argument("--names", type=int, default=None, metavar="N",
-                    help="name alphabet size for the corpus")
-    sp.add_argument("--max-size", type=int, default=None, metavar="S",
+                    choices=range(1, len(NAME_ALPHABET) + 1),
+                    help=f"name alphabet size for the corpus, 1 to {len(NAME_ALPHABET)}")
+    sp.add_argument("--max-size", type=_nonnegative, default=None, metavar="S",
                     help="prefix budget for the corpus")
     return ap
 
@@ -277,6 +285,9 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except (StateBudgetError, StaleDiagramRedexError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except RecursionError:
+        print("error: term too large for this command (recursion limit reached)", file=sys.stderr)
         return 1
 
 

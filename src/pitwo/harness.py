@@ -140,8 +140,13 @@ def _level(spec: CorpusSpec, ins: int, outs: int, total: int, names: tuple[Name,
                 yield New(nu, body)
 
 
+NAME_ALPHABET = "abcdefgh"
+
+
 def corpus_names(spec: CorpusSpec) -> tuple[Name, ...]:
-    return tuple(Name(c) for c in "abcdefgh"[: spec.name_alphabet_size])
+    if spec.name_alphabet_size > len(NAME_ALPHABET):
+        raise ValueError(f"name alphabet size must be at most {len(NAME_ALPHABET)}")
+    return tuple(Name(c) for c in NAME_ALPHABET[: spec.name_alphabet_size])
 
 
 _corpus_cache: dict[CorpusSpec, list[Process]] = {}
@@ -173,7 +178,7 @@ def enumerate_all_terms(max_size: int, alphabet: int = 2, max_arity: int = 1) ->
     Unlike enumerate_terms this does not quotient by congruence; it is meant
     for validating the congruence machinery itself and for grammar round-trips.
     """
-    names = tuple(Name(c) for c in "abcdefgh"[:alphabet])
+    names = tuple(Name(c) for c in NAME_ALPHABET[:alphabet])
     memo: dict[int, list[Process]] = {}
 
     def terms(size: int) -> list[Process]:

@@ -248,7 +248,8 @@ def _subst(p: Process, m: dict[Name, Name]) -> Process:
 #       | "(" "new" name ")" P | P "|" P | "(" P ")"
 #
 # `|` binds loosest and associates left; input and restriction bodies extend
-# as far right as possible short of a bare `|`; parentheses override.
+# as far right as possible short of a bare `|`; parentheses override.  Input
+# prefixes, restrictions and parentheses nest at most MAX_NESTING deep.
 
 
 def pretty(p: Process) -> str:
@@ -312,10 +313,25 @@ def _tokenize(text: str) -> list[_Tok]:
     return toks
 
 
+MAX_NESTING = 256
+"""The deepest nesting ``parse`` accepts, counting input prefixes, restrictions
+and parenthesised groups together; deeper input is a ParseError."""
+
+
 class _Parser:
     def __init__(self, text: str) -> None:
         self.toks = _tokenize(text)
         self.i = 0
+        self.depth = 0
+
+    def nested(self, t: _Tok, parse_body) -> Process:
+        """Parse one level deeper: an input body, a restriction body or a group."""
+        if self.depth == MAX_NESTING:
+            raise ParseError(f"nesting deeper than {MAX_NESTING} levels", t.line, t.col)
+        self.depth += 1
+        body = parse_body()
+        self.depth -= 1
+        return body
 
     def peek(self, ahead: int = 0) -> _Tok:
         return self.toks[min(self.i + ahead, len(self.toks) - 1)]
@@ -353,9 +369,9 @@ class _Parser:
                 self.take("name", "new")
                 binder = self._name()
                 self.take("punct", ")")
-                return New(binder, self.parse_prefix())
+                return New(binder, self.nested(t, self.parse_prefix))
             self.take("punct", "(")
-            inner = self.parse_par()
+            inner = self.nested(t, self.parse_par)
             self.take("punct", ")")
             return inner
         if t.kind == "name":
@@ -365,7 +381,7 @@ class _Parser:
                 self.take("punct", "?")
                 params = self._name_list()
                 self.take("arrow")
-                body = self.parse_prefix()
+                body = self.nested(t, self.parse_prefix)
                 if len(set(params)) != len(params):
                     raise ParseError(f"duplicate input parameters {[y.id for y in params]}", t.line, t.col)
                 return Input(subject, tuple(params), body)

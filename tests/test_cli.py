@@ -1,14 +1,24 @@
 import json
+import os
+import subprocess
+import sys
 
 from pitwo.cli import main
 from pitwo.congruence import congruent
-from pitwo.syntax import parse
+from pitwo.syntax import MAX_NESTING, parse
 
 
 def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out
     return code, out
+
+
+def cli(argv: list[str]) -> subprocess.CompletedProcess:
+    """Run pitwo in a fresh interpreter, as from the command line."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    return subprocess.run([sys.executable, "-m", "pitwo.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
 
 
 class TestCommands:
@@ -146,6 +156,30 @@ class TestErrors:
 
     def test_budget_exit_1(self, capsys):
         assert main(["run", "x?(y) => 0 | x!(u)", "--max-states", "1"]) == 1
+
+    def test_negative_comm_tokens_exit_2(self, capsys):
+        for argv in (["translate", "x!(u)", "--top"], ["redexes", "x!(u)"],
+                     ["crewrite", "x!(u)", "--index", "0"], ["concurrent", "x!(u)"]):
+            assert main([*argv, "--comm-tokens", "-1"]) == 2
+            assert "usage:" in capsys.readouterr().err
+
+    def test_names_beyond_alphabet_exit_2(self, capsys):
+        assert main(["verify", "--lemma", "observation", "--names", "9"]) == 2
+        assert "usage:" in capsys.readouterr().err
+
+    def test_nesting_at_the_limit_canonicalises(self, capsys):
+        assert main(["canon", "a?() => " * MAX_NESTING + "0"]) == 0
+        assert capsys.readouterr().out.strip().startswith("a?() => a?() =>")
+
+    def test_nesting_past_the_limit_exit_2(self):
+        proc = cli(["canon", "a?() => " * 5000 + "0"])
+        assert proc.returncode == 2
+        assert "parse error" in proc.stderr and "Traceback" not in proc.stderr
+
+    def test_wide_term_no_traceback(self):
+        proc = cli(["canon", " | ".join(["a!(b)"] * 1500)])
+        assert proc.returncode in (0, 1)
+        assert "Traceback" not in proc.stderr
 
     def test_outputs_reparse_to_congruent_terms(self, capsys):
         code = main(["--json", "step", "(new x)(x?(v) => 0 | x!(a))"])

@@ -1,9 +1,12 @@
+import pytest
+
 from pitwo.congruence import canonical_form
 from pitwo.harness import (
     CorpusSpec,
     DESK_SPEC,
     SMALL_SPEC,
     DiagramLTS,
+    corpus_names,
     enumerate_all_terms,
     enumerate_contexts,
     enumerate_terms,
@@ -27,6 +30,11 @@ from pitwo.translate import (
 
 
 class TestEnumerate:
+    def test_alphabet_size_is_bounded(self):
+        assert [n.id for n in corpus_names(CorpusSpec(8))] == list("abcdefgh")
+        with pytest.raises(ValueError):
+            corpus_names(CorpusSpec(9))
+
     def test_zero_prefixes(self):
         terms = enumerate_terms(CorpusSpec(1, 0, 0, 1, False))
         assert terms == [parse("0")]
