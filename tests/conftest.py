@@ -307,6 +307,7 @@ def gfp_bisimilar(p: Process, q: Process, weak: bool = False) -> bool:
 
 
 def gfp_relation(succ: list[list[int]], barb_sets: list, weak: bool = False) -> set[tuple[int, int]]:
+    """The bisimilar state pairs of one LTS, given each state's successors and barbs."""
     n = len(succ)
     answers = succ
     labels = barb_sets

@@ -1,3 +1,4 @@
+import pytest
 from hypothesis import given, settings
 
 from conftest import gfp_bisimilar, gfp_relation, process_st
@@ -97,15 +98,11 @@ class TestProperties:
                 if bisimilar(p, q):
                     assert barbs(p) == barbs(q)
 
+    @pytest.mark.parametrize("weak", [False, True])
     @settings(max_examples=60, deadline=None)
-    @given(process_st(max_leaves=4), process_st(max_leaves=4))
-    def test_partition_refinement_matches_gfp(self, p, q):
-        assert bisimilar(p, q) == gfp_bisimilar(p, q)
-
-    @settings(max_examples=60, deadline=None)
-    @given(process_st(max_leaves=4), process_st(max_leaves=4))
-    def test_weak_refinement_matches_gfp(self, p, q):
-        assert bisimilar(p, q, weak=True) == gfp_bisimilar(p, q, weak=True)
+    @given(p=process_st(max_leaves=4), q=process_st(max_leaves=4))
+    def test_partition_refinement_matches_gfp(self, weak, p, q):
+        assert bisimilar(p, q, weak=weak) == gfp_bisimilar(p, q, weak=weak)
 
     def test_weak_refinement_matches_gfp_on_every_state_pair(self):
         terms = enumerate_terms(CorpusSpec(2, 3, 1, 3, True))[:150]
