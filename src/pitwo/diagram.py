@@ -21,9 +21,18 @@ generators:
 Wire crossings are not represented, so diagrams equal modulo the symmetric
 monoidal equations are identical by construction.  ``normalize`` additionally
 quotients by the parallel-composition monoid laws, the copy/discard comonoid
-laws, the beta step (apply over thunk), and optionally deletion of closed
-name sources that end in a discard.  ``equal`` compares normal forms up to
-port-graph isomorphism, with an iterative-refinement hash as a fast filter.
+laws, the beta step (apply over thunk), and always deletes closed name sources
+that end in a discard.  ``equal`` compares normal forms up to port-graph
+isomorphism, with an iterative-refinement hash as a fast filter.
+
+Normalization is one ordered pass over one copy: normalize each thunk body in
+place, fire each apply fed by a thunk, rebuild each maximal par tree as one
+node without stops and each maximal copy tree as one node without discards,
+then delete each name or fresh source that feeds a discard.  One pass is
+enough because no step makes work for an earlier one: a normal body holds no
+apply, so splicing it makes no beta redex; par and copy trees share no wire
+type; and a deleted source-discard pair belongs to neither tree.  Tree walks
+use an explicit stack, and a body the pass leaves alone keeps its colouring.
 
 Each diagram is coloured once.  ``_coloring`` refines canonical integer
 colours until the number of colour classes stops changing, folds every
@@ -475,31 +484,31 @@ def apply_ev(thunk: Diagram, args: Diagram) -> Diagram:
 # Normalization
 
 
-def _rule_beta(d: Diagram) -> bool:
-    for nid in sorted(d.nodes):
-        node = d.nodes[nid]
-        if node.kind != "apply":
-            continue
+def _detach(d: Diagram, nid: int) -> None:
+    """Disconnect every wire at node nid and remove it."""
+    for p in d.in_ports(nid):
+        if p in d._src:
+            d.disconnect(p)
+    for p in d.out_ports(nid):
+        if p in d._dst:
+            d.disconnect(d.consumer(p))
+    d.remove(nid)
+
+
+def _fire_betas(d: Diagram) -> None:
+    """Replace every apply fed by a thunk with the thunk's body."""
+    for nid in [n for n in sorted(d.nodes) if d.nodes[n].kind == "apply"]:
         hom = d.producer(("in", nid, 0))
         if hom[0] != "out" or d.nodes[hom[1]].kind != "thunk":
             continue
         t = hom[1]
         tnode = d.nodes[t]
-        n, cap = node.arity, tnode.cap
-        arg_prods = [d.producer(("in", nid, 1 + i)) for i in range(n)]
-        cap_prods = [d.producer(("in", t, j)) for j in range(cap)]
+        arg_prods = [d.producer(("in", nid, 1 + i)) for i in range(d.nodes[nid].arity)]
+        cap_prods = [d.producer(("in", t, j)) for j in range(tnode.cap)]
         out_cons = d.consumer(("out", nid, 0))
-        for i in range(n + 1):
-            d.disconnect(("in", nid, i))
-        for j in range(cap):
-            d.disconnect(("in", t, j))
-        d.disconnect(out_cons)
-        d.remove(nid)
-        d.remove(t)
-        assert tnode.inner is not None
+        _detach(d, nid)
+        _detach(d, t)
         _splice(d, tnode.inner, arg_prods + cap_prods, [out_cons])
-        return True
-    return False
 
 
 def _rebuild_fanin(d: Diagram, prods: list[Port], out_cons: Port) -> None:
@@ -516,42 +525,6 @@ def _rebuild_fanin(d: Diagram, prods: list[Port], out_cons: Port) -> None:
         d.connect(("out", c, 0), out_cons)
 
 
-def _rule_par(d: Diagram) -> bool:
-    for nid in sorted(d.nodes):
-        node = d.nodes[nid]
-        if node.kind != "par":
-            continue
-        prods = [d.producer(("in", nid, k)) for k in range(node.arity)]
-        fold = any(
-            p[0] == "out" and d.nodes[p[1]].kind in ("par", "stop") for p in prods
-        )
-        if not fold and node.arity >= 2:
-            continue
-        out_cons = d.consumer(("out", nid, 0))
-        new_prods: list[Port] = []
-        doomed: list[int] = []
-        for p in prods:
-            d.disconnect(d.consumer(p))
-            if p[0] == "out" and d.nodes[p[1]].kind == "stop":
-                doomed.append(p[1])
-            elif p[0] == "out" and d.nodes[p[1]].kind == "par":
-                sub = p[1]
-                for k in range(d.nodes[sub].arity):
-                    q = d.producer(("in", sub, k))
-                    d.disconnect(("in", sub, k))
-                    new_prods.append(q)
-                doomed.append(sub)
-            else:
-                new_prods.append(p)
-        d.disconnect(out_cons)
-        d.remove(nid)
-        for x in doomed:
-            d.remove(x)
-        _rebuild_fanin(d, new_prods, out_cons)
-        return True
-    return False
-
-
 def _rebuild_fanout(d: Diagram, in_prod: Port, cons: list[Port]) -> None:
     """Wire a name producer to a list of N consumers through a copy if needed."""
     if len(cons) == 1:
@@ -566,77 +539,77 @@ def _rebuild_fanout(d: Diagram, in_prod: Port, cons: list[Port]) -> None:
             d.connect(("out", c, k), cn)
 
 
-def _rule_copy(d: Diagram) -> bool:
-    for nid in sorted(d.nodes):
-        node = d.nodes[nid]
-        if node.kind != "copy":
+def _flatten(d: Diagram, kind: str, unit: str) -> None:
+    """Rebuild each maximal tree of ``kind`` nodes as one node without ``unit`` leaves.
+
+    A par tree grows through par inputs, a copy tree through copy outputs;
+    leaves keep their left-to-right order.  Only trees that need it are rebuilt.
+    """
+    fanin = kind == "par"
+    ports, peer = (d.in_ports, d.producer) if fanin else (d.out_ports, d.consumer)
+
+    def kind_at(port: Port) -> str | None:
+        return d.nodes[port[1]].kind if port[0] in ("in", "out") else None
+
+    def children(nid: int) -> list[Port]:
+        return [peer(p) for p in ports(nid)]
+
+    for root in sorted(d.nodes):
+        node = d.nodes.get(root)
+        if node is None or node.kind != kind:
             continue
-        consumers = [d.consumer(("out", nid, k)) for k in range(node.arity)]
-        fold = any(
-            c[0] == "in" and d.nodes[c[1]].kind in ("copy", "discard") for c in consumers
-        )
-        if not fold and node.arity >= 2:
+        outer = d.consumer(("out", root, 0)) if fanin else d.producer(("in", root, 0))
+        if kind_at(outer) == kind:
+            continue  # an inner node; its root rebuilds the whole tree
+        stack = children(root)[::-1]
+        if node.arity >= 2 and all(kind_at(c) not in (kind, unit) for c in stack):
             continue
-        in_prod = d.producer(("in", nid, 0))
-        d.disconnect(("in", nid, 0))
-        new_cons: list[Port] = []
-        doomed = []
-        for c in consumers:
-            d.disconnect(c)
-            if c[0] == "in" and d.nodes[c[1]].kind == "discard":
-                doomed.append(c[1])
-            elif c[0] == "in" and d.nodes[c[1]].kind == "copy":
-                sub = c[1]
-                for k in range(d.nodes[sub].arity):
-                    q = d.consumer(("out", sub, k))
-                    d.disconnect(q)
-                    new_cons.append(q)
-                doomed.append(sub)
+        doomed, leaves = [root], []
+        while stack:
+            port = stack.pop()
+            if kind_at(port) == kind:
+                stack.extend(children(port[1])[::-1])
+            if kind_at(port) in (kind, unit):
+                doomed.append(port[1])
             else:
-                new_cons.append(c)
-        d.remove(nid)
-        for x in doomed:
-            d.remove(x)
-        _rebuild_fanout(d, in_prod, new_cons)
-        return True
-    return False
+                leaves.append(port)
+        for nid in doomed:
+            _detach(d, nid)
+        if fanin:
+            _rebuild_fanin(d, leaves, outer)
+        else:
+            _rebuild_fanout(d, outer, leaves)
 
 
-def _rule_scalar_gc(d: Diagram) -> bool:
-    for nid in sorted(d.nodes):
-        node = d.nodes[nid]
-        if node.kind not in ("name", "fresh"):
-            continue
+def _drop_scalars(d: Diagram) -> None:
+    """Delete each name or fresh source whose one consumer is a discard."""
+    for nid in [n for n in sorted(d.nodes) if d.nodes[n].kind in ("name", "fresh")]:
         cons = d.consumer(("out", nid, 0))
         if cons[0] == "in" and d.nodes[cons[1]].kind == "discard":
-            d.disconnect(cons)
-            d.remove(nid)
-            d.remove(cons[1])
-            return True
-    return False
+            _detach(d, nid)
+            _detach(d, cons[1])
 
 
-def normalize(d: Diagram, scalar_gc: bool = True) -> Diagram:
-    """Confluent normal form under the diagram equations.
+def _normalize_in_place(d: Diagram) -> None:
+    for node in d.nodes.values():
+        if node.inner is not None:
+            _normalize_in_place(node.inner)
+            # a body is unsigned only if it changed or d was never coloured
+            if node.inner._sig is None:
+                d._invalidate()
+    _fire_betas(d)
+    _flatten(d, "par", "stop")
+    _flatten(d, "copy", "discard")
+    _drop_scalars(d)
 
-    Flattens par and copy trees into single multiset nodes, deletes stop
-    units and discard-terminated copy branches, fires every apply-over-thunk
-    beta step, and (by default) deletes closed name sources that are
-    immediately discarded.  Idempotent and terminating.
+
+def normalize(d: Diagram) -> Diagram:
+    """The normal form of d under the diagram equations, as a new diagram.
+
+    One ordered pass over a copy of d (see the module docstring); idempotent.
     """
     h = d.copy()
-    for node in h.nodes.values():
-        if node.inner is not None:
-            node.inner = normalize(node.inner, scalar_gc)
-            h._invalidate()
-    progress = True
-    while progress:
-        progress = (
-            _rule_beta(h)
-            or _rule_par(h)
-            or _rule_copy(h)
-            or (scalar_gc and _rule_scalar_gc(h))
-        )
+    _normalize_in_place(h)
     return h
 
 
@@ -814,10 +787,10 @@ def isomorphic(a: Diagram, b: Diagram) -> bool:
     return assign(0)
 
 
-def equal(d1: Diagram, d2: Diagram, scalar_gc: bool = True) -> bool:
+def equal(d1: Diagram, d2: Diagram) -> bool:
     """Diagram equality: isomorphism of normal forms."""
-    n1 = normalize(d1, scalar_gc)
-    n2 = normalize(d2, scalar_gc)
+    n1 = normalize(d1)
+    n2 = normalize(d2)
     if signature(n1) != signature(n2):
         return False
     return isomorphic(n1, n2)

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from itertools import product
 
 from .bisim import barbs, partition_refine, reduction_union
-from .congruence import canonical_form
+from .congruence import canonical_form, term_size
 from .opsem import reduce_step
 from .rewrite import _spine, comm_step, find_diagram_redexes, strip_permits, trace_subject
 from .syntax import Hole, Input, Name, New, Output, Par, Process, Stop, free_names, pretty
@@ -32,7 +32,6 @@ from .translate import (
     plug_diagram,
     plug_term,
     seal,
-    top_equal,
     translate,
     translate_context,
     translate_top,
@@ -214,7 +213,7 @@ def enumerate_all_terms(max_size: int, alphabet: int = 2, max_arity: int = 1) ->
 
 def enumerate_contexts(names: tuple[Name, ...], max_size: int) -> list[Process]:
     """Single-hole contexts with at most max_size non-hole constructors."""
-    side_terms = [t for t in enumerate_all_terms(2, alphabet=len(names)) ]
+    side_terms = enumerate_all_terms(2, alphabet=len(names))
 
     def contexts(size: int) -> list[Process]:
         out: list[Process] = [Hole()] if size == 0 else []
@@ -229,7 +228,7 @@ def enumerate_contexts(names: tuple[Name, ...], max_size: int) -> list[Process]:
             for side_size in range(1, size):
                 for inner in contexts(size - 1 - side_size):
                     for r in side_terms:
-                        if _ast_size(r) == side_size:
+                        if term_size(r) == side_size:
                             out.append(Par(inner, r))
                             out.append(Par(r, inner))
         return out
@@ -243,17 +242,6 @@ def enumerate_contexts(names: tuple[Name, ...], max_size: int) -> list[Process]:
                 seen.add(key)
                 result.append(c)
     return result
-
-
-def _ast_size(p: Process) -> int:
-    match p:
-        case Stop() | Output() | Hole():
-            return 1
-        case Input(_, _, body) | New(_, body):
-            return 1 + _ast_size(body)
-        case Par(left, right):
-            return 1 + _ast_size(left) + _ast_size(right)
-    raise TypeError(f"not a process: {p!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -289,21 +277,18 @@ def semantic_barbs(td: TopDiagram) -> frozenset[Name]:
 
 
 class DiagramLTS:
-    """Transition system over diagram-equality classes, keyed by canonical hash."""
+    """Transition system over diagram-equality classes, keyed by ``TopDiagram`` equality."""
 
     def __init__(self) -> None:
         self.classes: list[TopDiagram] = []
-        self._by_sig: dict[str, list[int]] = {}
+        self._index: dict[TopDiagram, int] = {}
         self.succ: list[list[int] | None] = []
 
     def intern(self, td: TopDiagram) -> int:
-        for idx in self._by_sig.get(td.sig, []):
-            if top_equal(self.classes[idx], td):
-                return idx
-        idx = len(self.classes)
-        self.classes.append(td)
-        self._by_sig.setdefault(td.sig, []).append(idx)
-        self.succ.append(None)
+        idx = self._index.setdefault(td, len(self.classes))
+        if idx == len(self.classes):
+            self.classes.append(td)
+            self.succ.append(None)
         return idx
 
     def close(self) -> None:
@@ -386,17 +371,9 @@ def verify_reduction_lemma(spec: CorpusSpec = DESK_SPEC) -> VerificationReport:
     for p in terms:
         report.checked += 1
         ops = sorted(reduce_step(p), key=pretty)
-        lhs: list[TopDiagram] = []
-        for q in ops:
-            td = translate_top(q, 1, True)
-            if not any(top_equal(td, seen) for seen in lhs):
-                lhs.append(td)
-        rhs = comm_step(translate_top(p, 1, True))
-        ok = (
-            all(any(top_equal(l, r) for r in rhs) for l in lhs)
-            and all(any(top_equal(r, l) for l in lhs) for r in rhs)
-        )
-        if not ok:
+        lhs = {translate_top(q, 1, True) for q in ops}
+        rhs = set(comm_step(translate_top(p, 1, True)))
+        if lhs != rhs:
             report.counterexamples.append({
                 "term": pretty(p),
                 "operational_successors": [pretty(q) for q in ops],

@@ -121,13 +121,6 @@ class ReductionGraph:
     states: tuple[CanonicalProcess, ...]
     edges: frozenset[tuple[int, int]]
 
-    @property
-    def root(self) -> CanonicalProcess:
-        return self.states[0]
-
-    def successors(self, i: int) -> list[int]:
-        return sorted(j for s, j in self.edges if s == i)
-
     def to_json(self) -> dict:
         return {
             "states": [pretty(s) for s in self.states],

@@ -20,8 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from itertools import combinations
 
-from .diagram import Diagram, Port, _rebuild_fanin, normalize
-from .translate import TopDiagram, top_equal
+from .diagram import Diagram, Port, _detach, _rebuild_fanin, normalize
+from .translate import TopDiagram
 
 
 class StaleDiagramRedexError(ValueError):
@@ -117,26 +117,12 @@ def _fire_on(d: Diagram, r: DiagramRedex) -> None:
     arg_prods = [d.producer(("in", o, 1 + t)) for t in range(n)]
     subj_o = d.producer(("in", o, 0))
     subj_i = d.producer(("in", i, 0))
-
-    # detach the pair
-    for t in range(1 + n):
-        d.disconnect(("in", o, t))
-    d.disconnect(("in", i, 0))
-    d.disconnect(("in", i, 1))
-
-    # collect remaining spine components, dropping the pair's outputs
-    spine_node = d.nodes[spine]
-    kept: list[Port] = []
-    for k in range(spine_node.arity):
-        p = d.producer(("in", spine, k))
-        d.disconnect(("in", spine, k))
-        if p not in (("out", o, 0), ("out", i, 0)):
-            kept.append(p)
+    # the remaining spine components, without the pair's outputs
+    kept = [p for p in map(d.producer, d.in_ports(spine))
+            if p not in (("out", o, 0), ("out", i, 0))]
     out_cons = d.consumer(("out", spine, 0))
-    d.disconnect(out_cons)
-    d.remove(spine)
-    d.remove(o)
-    d.remove(i)
+    for nid in (o, i, spine):
+        _detach(d, nid)
 
     # the consumed subject branches end in discards (pruned by normalization)
     for subj in (subj_o, subj_i):
@@ -148,11 +134,7 @@ def _fire_on(d: Diagram, r: DiagramRedex) -> None:
     for t, pr in enumerate(arg_prods):
         d.connect(pr, ("in", ev, 1 + t))
     kept.append(("out", ev, 0))
-
-    new_spine = d.add("par", arity=len(kept))
-    for k, pr in enumerate(kept):
-        d.connect(pr, ("in", new_spine, k))
-    d.connect(("out", new_spine, 0), out_cons)
+    _rebuild_fanin(d, kept, out_cons)
 
 
 def apply_comm(td: TopDiagram, r: DiagramRedex) -> TopDiagram:
@@ -161,13 +143,8 @@ def apply_comm(td: TopDiagram, r: DiagramRedex) -> TopDiagram:
 
 
 def comm_step(td: TopDiagram) -> list[TopDiagram]:
-    """The distinct one-step rewrites of td, deduplicated by diagram equality."""
-    out: list[TopDiagram] = []
-    for r in find_diagram_redexes(td):
-        cand = apply_comm(td, r)
-        if not any(top_equal(cand, seen) for seen in out):
-            out.append(cand)
-    return out
+    """The distinct one-step rewrites of td: the first of each diagram-equality class."""
+    return list(dict.fromkeys(apply_comm(td, r) for r in find_diagram_redexes(td)))
 
 
 def count_permits(td: TopDiagram) -> int:
@@ -178,22 +155,13 @@ def strip_permits(td: TopDiagram) -> TopDiagram:
     """A copy of td with every communication permit removed (for gating tests)."""
     d = td.diagram.copy()
     for nid in sorted(d.nodes):
-        if nid in d.nodes and d.nodes[nid].kind == "comm":
+        if d.nodes[nid].kind == "comm":
+            # an inert stop takes the permit's place; normalization drops it
             cons = d.consumer(("out", nid, 0))
             d.disconnect(cons)
             d.remove(nid)
-            if cons[0] == "in" and d.nodes[cons[1]].kind == "par":
-                par = cons[1]
-                prods = [d.disconnect(("in", par, k))
-                         for k in range(d.nodes[par].arity) if k != cons[2]]
-                cons = d.consumer(("out", par, 0))
-                d.disconnect(cons)
-                d.remove(par)
-            else:
-                # the permit was the whole soup; what remains is inert
-                prods = []
-            _rebuild_fanin(d, prods, cons)
-    return TopDiagram(normalize(d, scalar_gc=True), td.name_order, 0)
+            d.connect(("out", d.add("stop"), 0), cons)
+    return TopDiagram(normalize(d), td.name_order, 0)
 
 
 def concurrent_step(td: TopDiagram, permits: int | None = None) -> list[tuple[DiagramRedex, ...]]:
@@ -239,4 +207,4 @@ def apply_concurrent(td: TopDiagram, rs: tuple[DiagramRedex, ...]) -> TopDiagram
     d = td.diagram.copy()
     for r in rs:
         _fire_on(d, r)
-    return TopDiagram(normalize(d, scalar_gc=True), td.name_order, td.catalysts)
+    return TopDiagram(normalize(d), td.name_order, td.catalysts)

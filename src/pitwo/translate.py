@@ -23,6 +23,7 @@ from .diagram import (
     N,
     P,
     Port,
+    _detach,
     _rebuild_fanin,
     _rebuild_fanout,
     _splice,
@@ -30,7 +31,7 @@ from .diagram import (
     normalize,
     signature,
 )
-from .syntax import Hole, Input, Name, New, Output, Par, Process, Stop, free_names
+from .syntax import Hole, Input, Name, New, Output, Par, Process, Stop
 
 
 def _merge(into: dict[Name, list[Port]], extra: dict[Name, list[Port]]) -> None:
@@ -93,20 +94,30 @@ def _emit(p: Process, d: Diagram, hole_names: tuple[Name, ...] | None = None
     raise TypeError(f"not a process: {p!r}")
 
 
+def _open(p: Process, hole_names: tuple[Name, ...] | None = None
+          ) -> tuple[Diagram, tuple[Name, ...]]:
+    """The open diagram of p and its domain's names: every free name, sorted."""
+    d = Diagram()
+    out, demands = _emit(p, d, hole_names)
+    d.connect(out, d.add_cod(P))
+    names = tuple(sorted(demands))
+    for name in names:
+        _rebuild_fanout(d, d.add_dom(N), demands[name])
+    return d, names
+
+
 def translate(p: Process) -> Diagram:
     """The diagram of p: domain N^|fn(p)| (sorted name order), codomain P."""
-    d = Diagram()
-    out, demands = _emit(p, d)
-    d.connect(out, d.add_cod(P))
-    for name in sorted(free_names(p)):
-        _rebuild_fanout(d, d.add_dom(N), demands.pop(name))
-    assert not demands, f"unrouted names: {sorted(demands)}"
-    return d
+    return _open(p)[0]
 
 
-@dataclass
+@dataclass(eq=False)
 class TopDiagram:
-    """A normalized diagram of a whole running term, permits included."""
+    """A normalized diagram of a whole running term, permits included.
+
+    Equality is ``top_equal`` and the hash is the signature's, so a set or
+    dict of top diagrams keeps one entry per diagram-equality class.
+    """
 
     diagram: Diagram
     name_order: tuple[Name, ...]
@@ -116,6 +127,14 @@ class TopDiagram:
     def sig(self) -> str:
         """The diagram's signature, computed on first read and cached on the diagram."""
         return signature(self.diagram)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, TopDiagram):
+            return NotImplemented
+        return top_equal(self, other)
+
+    def __hash__(self) -> int:
+        return hash(self.sig)
 
     def __repr__(self) -> str:
         return (
@@ -146,12 +165,12 @@ def seal(d: Diagram, names: tuple[Name, ...], catalysts: int = 1,
             d.connect(("out", d.add("name", label=name.id), 0), cons)
         d.dom = []
         d._invalidate()
-    return TopDiagram(normalize(d, scalar_gc=True), names, catalysts)
+    return TopDiagram(normalize(d), names, catalysts)
 
 
 def translate_top(p: Process, catalysts: int = 1, instantiate: bool = True) -> TopDiagram:
     """Translate p and seal it with ``catalysts`` permits (see ``seal``)."""
-    return seal(translate(p), tuple(sorted(free_names(p))), catalysts, instantiate)
+    return seal(*_open(p), catalysts, instantiate)
 
 
 def top_equal(a: TopDiagram, b: TopDiagram) -> bool:
@@ -208,12 +227,7 @@ class DiagramContext:
 def translate_context(c: Process, plug_names: tuple[Name, ...]) -> DiagramContext:
     if count_holes(c) != 1:
         raise ValueError(f"context must contain exactly one hole, found {count_holes(c)}")
-    d = Diagram()
-    out, demands = _emit(c, d, hole_names=plug_names)
-    d.connect(out, d.add_cod(P))
-    dom_names = tuple(sorted(demands))
-    for name in dom_names:
-        _rebuild_fanout(d, d.add_dom(N), demands.pop(name))
+    d, dom_names = _open(c, plug_names)
     return DiagramContext(d, plug_names, dom_names)
 
 
@@ -229,10 +243,7 @@ def _plug_into(d: Diagram, f: Diagram) -> bool:
             )
         prods = [d.producer(("in", nid, j)) for j in range(k)]
         out_cons = d.consumer(("out", nid, 0))
-        for j in range(k):
-            d.disconnect(("in", nid, j))
-        d.disconnect(out_cons)
-        d.remove(nid)
+        _detach(d, nid)
         _splice(d, f, prods, [out_cons])
         return True
     for nid in sorted(d.nodes):

@@ -1,5 +1,8 @@
 import pytest
+from hypothesis import given, settings
 
+from conftest import process_st
+from pitwo.diagram import Diagram
 from pitwo.opsem import reduce_step
 from pitwo.rewrite import (
     DiagramRedex,
@@ -138,3 +141,36 @@ class TestConcurrent:
         td = translate_top(RACE, 2, True)
         steps = concurrent_step(td, 2)
         assert all(len(s) == 1 for s in steps)
+
+
+def assert_normal(d: Diagram) -> None:
+    """The normal-form shape, checked node by node and in every thunk body."""
+    d.validate()
+
+    def kinds(ports):
+        return [d.nodes[p[1]].kind if p[0] in ("in", "out") else p[0] for p in ports]
+
+    for nid, node in d.nodes.items():
+        ins = kinds(d.producer(p) for p in d.in_ports(nid))
+        outs = kinds(d.consumer(p) for p in d.out_ports(nid))
+        if node.kind == "apply":
+            assert ins[0] != "thunk"
+        if node.kind == "par":
+            assert node.arity >= 2 and not {"par", "stop"} & set(ins)
+        if node.kind == "copy":
+            assert node.arity >= 2 and not {"copy", "discard"} & set(outs)
+        if node.kind in ("name", "fresh"):
+            assert outs != ["discard"]
+        if node.inner is not None:
+            assert_normal(node.inner)
+
+
+class TestNormalForm:
+    @settings(max_examples=120, deadline=None)
+    @given(process_st(max_leaves=6))
+    def test_translations_steps_and_stripped_diagrams_are_normal(self, p):
+        td = translate_top(p, 1, True)
+        assert_normal(td.diagram)
+        for succ in comm_step(td):
+            assert_normal(succ.diagram)
+        assert_normal(strip_permits(td).diagram)

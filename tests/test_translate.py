@@ -49,23 +49,16 @@ class TestTranslate:
 
     def test_worked_example_shape(self):
         # (new y)(new x) x?(w) => z!(w): one private channel feeds the
-        # receiver, the other is discarded, and z is captured by the thunk
+        # receiver, the unused one is collected, and z is captured by the thunk
         p = parse("(new y)(new x) x?(w) => z!(w)")
-        d = normalize(translate(p), scalar_gc=False)
-        kinds = [node.kind for node in d.nodes.values()]
-        assert kinds.count("fresh") == 2
-        assert kinds.count("discard") == 1
-        assert kinds.count("recv") == 1
+        d = normalize(translate(p))
+        assert sorted(node.kind for node in d.nodes.values()) == ["fresh", "recv", "thunk"]
         thunk = next(node for node in d.nodes.values() if node.kind == "thunk")
         assert thunk.arity == 1 and thunk.cap == 1
-        # with scalar collection the dangling private channel disappears
-        gc = normalize(translate(p), scalar_gc=True)
-        assert [node.kind for node in gc.nodes.values()].count("fresh") == 1
 
     def test_unused_binder_discarded(self):
-        d = normalize(translate(parse("(new x) 0")), scalar_gc=False)
-        kinds = sorted(node.kind for node in d.nodes.values())
-        assert kinds == ["discard", "fresh", "stop"]
+        d = normalize(translate(parse("(new x) 0")))
+        assert [node.kind for node in d.nodes.values()] == ["stop"]
 
     @settings(max_examples=100, deadline=None)
     @given(process_st(max_leaves=5))
