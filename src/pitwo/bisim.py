@@ -20,8 +20,8 @@ from functools import lru_cache
 from typing import Hashable, Sequence
 
 from .congruence import canonical_form
-from .opsem import reachable, reduce_step
-from .syntax import Input, Name, New, Output, Par, Process, Stop, pretty
+from .opsem import reachable
+from .syntax import Input, Name, New, Output, Par, Process, Stop, par_leaves, pretty
 
 BarbSet = frozenset[Name]
 
@@ -34,8 +34,8 @@ def barbs(p: Process) -> BarbSet:
             return frozenset()
         case Output(subject, _):
             return frozenset({subject})
-        case Par(left, right):
-            return barbs(left) | barbs(right)
+        case Par():
+            return frozenset().union(*map(barbs, par_leaves(p)))
         case New(binder, body):
             return barbs(body) - {binder}
     raise TypeError(f"not a process: {p!r}")
@@ -66,6 +66,7 @@ def reduction_union(ps: Sequence[Process], max_states: int = 10_000) -> tuple[li
     """Shared reachability LTS of several terms: states, index, successor lists."""
     states: list[Process] = []
     index: dict[Process, int] = {}
+    succ: list[set[int]] = []
     for p in ps:
         root = canonical_form(p)
         if root in index:
@@ -75,11 +76,10 @@ def reduction_union(ps: Sequence[Process], max_states: int = 10_000) -> tuple[li
             if s not in index:
                 index[s] = len(states)
                 states.append(s)
-    succ = [
-        sorted(index[t] for t in reduce_step(s))
-        for s in states
-    ]
-    return states, index, succ
+                succ.append(set())
+        for i, j in graph.edges:
+            succ[index[graph.states[i]]].add(index[graph.states[j]])
+    return states, index, [sorted(ts) for ts in succ]
 
 
 def _saturate(succ: Sequence[Sequence[int]], labels: Sequence[BarbSet]

@@ -83,7 +83,8 @@ CanonicalProcess = Process
 # xi!(x(3i mod k)) over k binders: k = 8 takes a tenth of a second, k = 10
 # more than half a minute.
 
-# Environments are keyed by name id: strings cache their hash, Names do not.
+# Environments are keyed by name id: a string hashes in C, a Name through a
+# Python-level __hash__.
 
 
 def _sref(n: Name, env: dict[str, tuple]) -> tuple:
@@ -203,7 +204,8 @@ def _skeleton(p: Process, env: dict[str, tuple], depth: int, gc: bool,
     holds the ``_collect`` result of every level already met in this
     canonicalisation, by id of its root (the term is alive throughout): an
     inner level is entered again for each set of positions of the outer
-    binders it reads.
+    binders it reads.  Terms are interned, so a subterm met at two positions
+    is one entry; ``_collect`` depends only on structure, so that is sound.
     """
     level = levels.get(id(p))
     if level is None:

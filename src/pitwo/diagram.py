@@ -336,21 +336,26 @@ class Diagram:
         for src, dst in self._dst.items():
             if src[0] == "out" and dst[0] == "in":
                 succ[src[1]].add(dst[1])
+        # depth-first, with an explicit stack: 1 while a node is open, 2 once closed
         seen: dict[int, int] = {}
-
-        def visit(v: int) -> None:
-            seen[v] = 1
-            for w in succ[v]:
-                state = seen.get(w)
-                if state == 1:
-                    raise DiagramError("cycle through node %d" % w)
-                if state is None:
-                    visit(w)
-            seen[v] = 2
-
-        for v in self.nodes:
-            if v not in seen:
-                visit(v)
+        for root in self.nodes:
+            if root in seen:
+                continue
+            seen[root] = 1
+            stack = [(root, iter(succ[root]))]
+            while stack:
+                v, ws = stack[-1]
+                for w in ws:
+                    state = seen.get(w)
+                    if state == 1:
+                        raise DiagramError("cycle through node %d" % w)
+                    if state is None:
+                        seen[w] = 1
+                        stack.append((w, iter(succ[w])))
+                        break
+                else:
+                    seen[v] = 2
+                    stack.pop()
         for node in self.nodes.values():
             if node.inner is not None:
                 node.inner.validate()

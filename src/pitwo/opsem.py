@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .congruence import CanonicalProcess, canonical_form
-from .syntax import Input, Name, New, Output, Par, Process, Stop, pretty, substitute
+from .syntax import Input, Name, New, Output, Par, Process, Stop, par_leaves, pretty, substitute
 
 
 class StateBudgetError(RuntimeError):
@@ -44,17 +44,7 @@ def decompose(p: Process) -> tuple[tuple[Name, ...], tuple[Process, ...]]:
     while isinstance(t, New):
         binders.append(t.binder)
         t = t.body
-    comps: list[Process] = []
-
-    def flatten(t: Process) -> None:
-        if isinstance(t, Par):
-            flatten(t.left)
-            flatten(t.right)
-        elif not isinstance(t, Stop):
-            comps.append(t)
-
-    flatten(t)
-    return tuple(binders), tuple(comps)
+    return tuple(binders), tuple(c for c in par_leaves(t) if not isinstance(c, Stop))
 
 
 def recompose(binders: tuple[Name, ...], comps: tuple[Process, ...]) -> Process:
@@ -71,13 +61,12 @@ def recompose(binders: tuple[Name, ...], comps: tuple[Process, ...]) -> Process:
 def find_redexes(p: Process) -> list[Redex]:
     """All sender/receiver pairs of canonical_form(p), in index order."""
     _, comps = decompose(p)
+    receivers = [(ri, c) for ri, c in enumerate(comps) if isinstance(c, Input)]
     redexes = []
     for si, sender in enumerate(comps):
         if not isinstance(sender, Output):
             continue
-        for ri, receiver in enumerate(comps):
-            if not isinstance(receiver, Input):
-                continue
+        for ri, receiver in receivers:
             if receiver.subject == sender.subject and len(receiver.params) == len(sender.args):
                 redexes.append(Redex(sender.subject, si, ri, len(sender.args)))
     return redexes

@@ -3,16 +3,20 @@
 Terms are immutable trees built from five constructors: the stopped process,
 input prefixes, output particles, channel restriction, and parallel
 composition.  This module owns the concrete grammar, free/bound name
-computations, alpha-equivalence, and capture-avoiding substitution.  Everything
-here is pure; values can be shared freely between threads.
+computations, alpha-equivalence, and capture-avoiding substitution.
+
+Terms are interned: each distinct term is one object, so term equality is
+identity.  Construction goes through one per-process interning table, which is
+not safe to share between threads; build terms from one thread only.
 """
 
 from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
-from functools import lru_cache
+import weakref
+from dataclasses import FrozenInstanceError, dataclass
+from functools import lru_cache, total_ordering
 from typing import Iterable, Mapping, Union
 
 _NAME_RE = re.compile(r"[a-zA-Z][a-zA-Z0-9_]*\Z")
@@ -29,85 +33,202 @@ class ParseError(ValueError):
         self.column = column
 
 
-@dataclass(frozen=True, order=True)
-class Name:
-    """A channel identifier.  Equality and ordering are by identifier."""
+# Terms are hash-consed (Filliatre & Conchon, "Type-safe modular hash-consing",
+# ML Workshop 2006).  A constructor returns the one live term with its fields,
+# found in a table of weak references keyed by the class name and the fields,
+# with each child term keyed by its identity.  Children are built, and so
+# interned, before their parents, so structurally equal terms are the same
+# object and equality is identity.  The identities in a key stay valid while
+# its entry exists, because a term holds its children and leaves the table
+# before it releases them.  Each term stores a hash of its class name and
+# fields, which hashes its children by their stored hashes: no hash recurses,
+# and a hash depends only on PYTHONHASHSEED.  A term is validated only when it
+# is first built.
 
-    id: str
 
-    def __post_init__(self) -> None:
-        if not _NAME_RE.match(self.id):
-            raise ValueError(f"invalid name identifier: {self.id!r}")
-        if self.id in _RESERVED:
-            raise ValueError(f"reserved word cannot be a name: {self.id!r}")
+class _Entry(weakref.ref):
+    """The table's weak reference to a term, which knows the term's key."""
+
+    __slots__ = ("key",)
+
+
+def _forget(entry: _Entry) -> None:
+    # A term whose deallocation was deferred can be rebuilt before it is gone,
+    # so the key is dropped only while it still holds this entry.
+    if _TABLE.get(entry.key) is entry:
+        del _TABLE[entry.key]
+
+
+# Calling an entry gives its term, or None once the term is gone.
+_TABLE: dict[tuple, _Entry] = {}
+_set = object.__setattr__
+
+
+class _Term:
+    """Base of the interned term classes: immutable, hashed once, equal iff identical."""
+
+    __slots__ = ("_hash", "__weakref__")
+    __match_args__: tuple[str, ...] = ()
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__match_args__)
+        return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self) -> tuple:
+        return type(self), tuple(getattr(self, f) for f in self.__match_args__)
+
+    def __str__(self) -> str:
+        return pretty(self)
+
+
+def _enter(t: _Term, key: tuple, fields: tuple) -> _Term:
+    """Give the new term t the hash of fields (its class name and fields); table it under key."""
+    _set(t, "_hash", hash(fields))
+    entry = _TABLE[key] = _Entry(t, _forget)
+    entry.key = key
+    return t
+
+
+@total_ordering
+class Name(_Term):
+    """A channel identifier.  Ordering is by identifier."""
+
+    __slots__ = ("id",)
+    __match_args__ = ("id",)
+
+    def __new__(cls, id: str) -> Name:
+        key = ("Name", id)
+        entry = _TABLE.get(key)
+        t = entry and entry()
+        if t is None:
+            if not _NAME_RE.match(id):
+                raise ValueError(f"invalid name identifier: {id!r}")
+            if id in _RESERVED:
+                raise ValueError(f"reserved word cannot be a name: {id!r}")
+            t = object.__new__(cls)
+            _set(t, "id", id)
+            _enter(t, key, key)
+        return t
+
+    def __lt__(self, other: object) -> bool:
+        if other.__class__ is not Name:
+            return NotImplemented
+        return self.id < other.id
 
     def __str__(self) -> str:
         return self.id
 
 
-@dataclass(frozen=True)
-class Stop:
+class Stop(_Term):
     """The inert process 0."""
 
-    def __str__(self) -> str:
-        return pretty(self)
+    __slots__ = ()
+
+    def __new__(cls) -> Stop:
+        key = ("Stop",)
+        entry = _TABLE.get(key)
+        t = entry and entry()
+        if t is None:
+            t = _enter(object.__new__(cls), key, key)
+        return t
 
 
-@dataclass(frozen=True)
-class Input:
+class Input(_Term):
     """x?(y1,...,yn) => body: receive n names on x, binding them in body."""
 
-    subject: Name
-    params: tuple[Name, ...]
-    body: "Process"
+    __slots__ = ("subject", "params", "body")
+    __match_args__ = ("subject", "params", "body")
 
-    def __post_init__(self) -> None:
-        if len(set(self.params)) != len(self.params):
-            raise ValueError(f"duplicate input parameters: {self.params}")
+    def __new__(cls, subject: Name, params: tuple[Name, ...], body: Process) -> Input:
+        key = ("Input", id(subject), id(body), *map(id, params))
+        entry = _TABLE.get(key)
+        t = entry and entry()
+        if t is None:
+            if len(set(params)) != len(params):
+                raise ValueError(f"duplicate input parameters: {params}")
+            t = object.__new__(cls)
+            _set(t, "subject", subject)
+            _set(t, "params", params)
+            _set(t, "body", body)
+            _enter(t, key, ("Input", subject, params, body))
+        return t
 
-    def __str__(self) -> str:
-        return pretty(self)
 
-
-@dataclass(frozen=True)
-class Output:
+class Output(_Term):
     """x!(z1,...,zn): emit n names on x.  No continuation (asynchronous)."""
 
-    subject: Name
-    args: tuple[Name, ...]
+    __slots__ = ("subject", "args")
+    __match_args__ = ("subject", "args")
 
-    def __str__(self) -> str:
-        return pretty(self)
+    def __new__(cls, subject: Name, args: tuple[Name, ...]) -> Output:
+        key = ("Output", id(subject), *map(id, args))
+        entry = _TABLE.get(key)
+        t = entry and entry()
+        if t is None:
+            t = object.__new__(cls)
+            _set(t, "subject", subject)
+            _set(t, "args", args)
+            _enter(t, key, ("Output", subject, args))
+        return t
 
 
-@dataclass(frozen=True)
-class New:
+class New(_Term):
     """(new x) body: restrict channel x to body."""
 
-    binder: Name
-    body: "Process"
+    __slots__ = ("binder", "body")
+    __match_args__ = ("binder", "body")
 
-    def __str__(self) -> str:
-        return pretty(self)
+    def __new__(cls, binder: Name, body: Process) -> New:
+        key = ("New", id(binder), id(body))
+        entry = _TABLE.get(key)
+        t = entry and entry()
+        if t is None:
+            t = object.__new__(cls)
+            _set(t, "binder", binder)
+            _set(t, "body", body)
+            _enter(t, key, ("New", binder, body))
+        return t
 
 
-@dataclass(frozen=True)
-class Par:
+class Par(_Term):
     """left | right: parallel composition."""
 
-    left: "Process"
-    right: "Process"
+    __slots__ = ("left", "right")
+    __match_args__ = ("left", "right")
 
-    def __str__(self) -> str:
-        return pretty(self)
+    def __new__(cls, left: Process, right: Process) -> Par:
+        key = ("Par", id(left), id(right))
+        entry = _TABLE.get(key)
+        t = entry and entry()
+        if t is None:
+            t = object.__new__(cls)
+            _set(t, "left", left)
+            _set(t, "right", right)
+            _enter(t, key, ("Par", left, right))
+        return t
 
 
-@dataclass(frozen=True)
-class Hole:
+class Hole(_Term):
     """The unique plug position of a syntactic context.  Not parseable."""
 
-    def __str__(self) -> str:
-        return "[]"
+    __slots__ = ()
+
+    def __new__(cls) -> Hole:
+        key = ("Hole",)
+        entry = _TABLE.get(key)
+        t = entry and entry()
+        if t is None:
+            t = _enter(object.__new__(cls), key, key)
+        return t
 
 
 Process = Union[Stop, Input, Output, New, Par, Hole]
@@ -115,6 +236,20 @@ Process = Union[Stop, Input, Output, New, Par, Hole]
 
 # ---------------------------------------------------------------------------
 # Name algebra
+
+
+def par_leaves(p: Process) -> list[Process]:
+    """The subterms of p's top parallel tree that are not Par, left to right."""
+    leaves: list[Process] = []
+    stack = [p]
+    while stack:
+        q = stack.pop()
+        if isinstance(q, Par):
+            stack.append(q.right)
+            stack.append(q.left)
+        else:
+            leaves.append(q)
+    return leaves
 
 
 @lru_cache(maxsize=None)
@@ -129,8 +264,8 @@ def free_names(p: Process) -> frozenset[Name]:
             return frozenset({subject}) | (free_names(body) - frozenset(params))
         case New(binder, body):
             return free_names(body) - {binder}
-        case Par(left, right):
-            return free_names(left) | free_names(right)
+        case Par():
+            return frozenset().union(*map(free_names, par_leaves(p)))
     raise TypeError(f"not a process: {p!r}")
 
 
@@ -146,8 +281,8 @@ def all_names(p: Process) -> frozenset[Name]:
             return frozenset({subject, *params}) | all_names(body)
         case New(binder, body):
             return all_names(body) | {binder}
-        case Par(left, right):
-            return all_names(left) | all_names(right)
+        case Par():
+            return frozenset().union(*map(all_names, par_leaves(p)))
     raise TypeError(f"not a process: {p!r}")
 
 
@@ -253,27 +388,40 @@ def _subst(p: Process, m: dict[Name, Name]) -> Process:
 
 
 def pretty(p: Process) -> str:
-    """Render p in the concrete grammar; parse(pretty(p)) == p structurally."""
+    """Render p in the concrete grammar; parse(pretty(p)) is p."""
     return _pp(p, atom=False)
 
 
 def _pp(p: Process, atom: bool) -> str:
-    match p:
-        case Stop():
-            return "0"
-        case Hole():
-            return "[]"
-        case Output(subject, args):
-            return f"{subject}!({', '.join(a.id for a in args)})"
-        case Input(subject, params, body):
-            ps = ", ".join(y.id for y in params)
-            return f"{subject}?({ps}) => {_pp(body, atom=True)}"
-        case New(binder, body):
-            return f"(new {binder}) {_pp(body, atom=True)}"
-        case Par(left, right):
-            s = f"{_pp(left, atom=False)} | {_pp(right, atom=True)}"
-            return f"({s})" if atom else s
-    raise TypeError(f"not a process: {p!r}")
+    out: list[str] = []
+    stack: list[str | tuple[Process, bool]] = [(p, atom)]  # text, or a term to render
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            out.append(item)
+            continue
+        q, atom = item
+        match q:
+            case Stop():
+                out.append("0")
+            case Hole():
+                out.append("[]")
+            case Output(subject, args):
+                out.append(f"{subject}!({', '.join(a.id for a in args)})")
+            case Input(subject, params, body):
+                out.append(f"{subject}?({', '.join(y.id for y in params)}) => ")
+                stack.append((body, True))
+            case New(binder, body):
+                out.append(f"(new {binder}) ")
+                stack.append((body, True))
+            case Par(left, right):
+                if atom:
+                    out.append("(")
+                    stack.append(")")
+                stack += [(right, True), " | ", (left, False)]
+            case _:
+                raise TypeError(f"not a process: {q!r}")
+    return "".join(out)
 
 
 _TOKEN_RE = re.compile(
@@ -420,23 +568,27 @@ def parse(text: str) -> Process:
 
 
 def to_json(p: Process) -> dict:
-    match p:
-        case Stop():
-            return {"tag": "stop"}
-        case Input(subject, params, body):
-            return {
-                "tag": "input",
-                "subject": subject.id,
-                "params": [y.id for y in params],
-                "body": to_json(body),
-            }
-        case Output(subject, args):
-            return {"tag": "output", "subject": subject.id, "args": [a.id for a in args]}
-        case New(binder, body):
-            return {"tag": "new", "binder": binder.id, "body": to_json(body)}
-        case Par(left, right):
-            return {"tag": "par", "left": to_json(left), "right": to_json(right)}
-    raise TypeError(f"not a serializable process: {p!r}")
+    root: dict = {}
+    stack = [(p, root)]  # each term with the empty dict that receives it
+    while stack:
+        q, d = stack.pop()
+        match q:
+            case Stop():
+                d["tag"] = "stop"
+            case Input(subject, params, body):
+                d.update(tag="input", subject=subject.id, params=[y.id for y in params], body={})
+                stack.append((body, d["body"]))
+            case Output(subject, args):
+                d.update(tag="output", subject=subject.id, args=[a.id for a in args])
+            case New(binder, body):
+                d.update(tag="new", binder=binder.id, body={})
+                stack.append((body, d["body"]))
+            case Par(left, right):
+                d.update(tag="par", left={}, right={})
+                stack += [(right, d["right"]), (left, d["left"])]
+            case _:
+                raise TypeError(f"not a serializable process: {q!r}")
+    return root
 
 
 def from_json(d: dict) -> Process:

@@ -53,14 +53,24 @@ def _emit(p: Process, d: Diagram, hole_names: tuple[Name, ...] | None = None
             for i, a in enumerate(args):
                 _merge(demands, {a: [("in", nid, 1 + i)]})
             return ("out", nid, 0), demands
-        case Par(left, right):
-            lo, ld = _emit(left, d, hole_names)
-            ro, rd = _emit(right, d, hole_names)
-            nid = d.add("par", arity=2)
-            d.connect(lo, ("in", nid, 0))
-            d.connect(ro, ("in", nid, 1))
-            _merge(ld, rd)
-            return ("out", nid, 0), ld
+        case Par():
+            # Post-order with an explicit stack: both sides, then their par node.
+            done: list[tuple[Port, dict[Name, list[Port]]]] = []
+            stack: list[tuple[Process, bool]] = [(p, False)]
+            while stack:
+                q, expanded = stack.pop()
+                if expanded:
+                    (ro, rd), (lo, ld) = done.pop(), done.pop()
+                    nid = d.add("par", arity=2)
+                    d.connect(lo, ("in", nid, 0))
+                    d.connect(ro, ("in", nid, 1))
+                    _merge(ld, rd)
+                    done.append((("out", nid, 0), ld))
+                elif isinstance(q, Par):
+                    stack += [(q, True), (q.right, False), (q.left, False)]
+                else:
+                    done.append(_emit(q, d, hole_names))
+            return done[0]
         case New(binder, body):
             bo, bd = _emit(body, d, hole_names)
             nid = d.add("fresh")

@@ -258,6 +258,7 @@ class TestNormalize:
                 d.connect(("out", nid, 1), d.add_cod(N))
             prev = ("out", nid, 0)
         d.connect(prev, d.add_cod(wire))
+        d.validate()
         t0 = time.perf_counter()
         n = normalize(d)
         assert time.perf_counter() - t0 < 1.0

@@ -1,6 +1,14 @@
+import gc
+import os
+import subprocess
+import sys
+import weakref
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 
+import pitwo
 from conftest import POOL, process_st, substitution_oracle
 from pitwo.harness import enumerate_all_terms
 from pitwo.syntax import (
@@ -12,6 +20,7 @@ from pitwo.syntax import (
     Par,
     ParseError,
     Stop,
+    _TABLE,
     all_names,
     alpha_eq,
     dumps,
@@ -211,3 +220,70 @@ class TestJson:
     def test_hole_not_serializable(self):
         with pytest.raises(TypeError):
             to_json(Hole())
+
+
+class TestInterning:
+    """Each distinct term is one object; checked against serialisation, not identity code."""
+
+    @given(process_st())
+    def test_round_trips_return_the_same_object(self, p):
+        assert from_json(to_json(p)) is p
+        assert parse(pretty(p)) is p
+
+    @given(process_st(max_leaves=3), process_st(max_leaves=3))
+    def test_identical_iff_same_json(self, p, q):
+        assert (p is q) == (to_json(p) == to_json(q))
+
+    def test_dropped_term_leaves_the_table(self):
+        p = Par(Output(Name("probe_a"), (Name("probe_b"),)), Stop())
+        alive = weakref.ref(p)
+        assert ("Name", "probe_a") in _TABLE
+        del p
+        gc.collect()
+        assert alive() is None
+        assert ("Name", "probe_a") not in _TABLE and ("Name", "probe_b") not in _TABLE
+
+    def test_hash_is_the_same_in_fresh_interpreters(self):
+        text = "(new x)(x!(a) | a?(y, z) => y!(x, z)) | b?() => 0"
+        src = str(Path(pitwo.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        outs = [
+            subprocess.run(
+                [sys.executable, "-c",
+                 # the second interpreter allocates other terms first
+                 f"{prelude}from pitwo.syntax import parse; print(hash(parse({text!r})))"],
+                check=True, capture_output=True, text=True,
+                env=dict(os.environ, PYTHONPATH=path, PYTHONHASHSEED="7"),
+            ).stdout
+            for prelude in ("", "import pitwo.harness as h; h.enumerate_all_terms(2); ")
+        ]
+        assert outs[0] == outs[1] and outs[0].strip().lstrip("-").isdigit()
+
+    def test_validation_runs_on_new_fields(self):
+        alive = [Input(x, (y, z), Stop()), Name("ok")]
+        with pytest.raises(ValueError):
+            Input(x, (y, y), Stop())
+        for bad in ("new", "1ok", "o-k", ""):
+            with pytest.raises(ValueError):
+                Name(bad)
+        assert alive == [Input(x, (y, z), Stop()), Name("ok")]
+
+    def test_fields_are_read_only(self):
+        p = parse("x?(y) => y!()")
+        for field, value in (("subject", y), ("params", ()), ("body", Stop()), ("other", 0)):
+            with pytest.raises(AttributeError):
+                setattr(p, field, value)
+        with pytest.raises(AttributeError):
+            del p.body
+        with pytest.raises(AttributeError):
+            x.id = "q"
+        assert pretty(p) == "x?(y) => y!()" and x.id == "x"
+
+    def test_repr_names_the_fields(self):
+        assert repr(Input(x, (y,), Par(Stop(), Hole()))) == (
+            "Input(subject=Name(id='x'), params=(Name(id='y'),), body=Par(left=Stop(), right=Hole()))"
+        )
+
+    def test_names_order_by_identifier(self):
+        assert sorted([y, a, x, b]) == [a, b, x, y]
+        assert a < b <= b and y > x >= x

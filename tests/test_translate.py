@@ -132,6 +132,17 @@ class TestAlphaEquivalence:
     def test_alpha_equivalent_terms_have_equal_top_diagrams(self):
         assert top_equal(translate_top(parse(ALPHA_LEFT)), translate_top(parse(ALPHA_RIGHT)))
 
+    @pytest.mark.xfail(strict=True, reason=(
+        "a thunk's captured wires are ordered by sorted binder name, so the canonical "
+        "renaming of x to n0 reorders the thunk's inputs [u, x] to [n0, u]"))
+    def test_congruent_pair_with_renamed_captured_binder(self):
+        # a counterexample of test_congruence_soundness, pinned so that it does not
+        # depend on a local example database
+        p = parse("x?() => 0 | (new x)(a?() => u!(x))")
+        q = parse("(new n0)(a?() => u!(n0) | x?() => 0)")
+        assert congruent(p, q)
+        assert top_equal(translate_top(p, 1, True), translate_top(q, 1, True))
+
 
 class TestContexts:
     def test_count_holes(self):
