@@ -21,18 +21,22 @@ generators:
 Wire crossings are not represented, so diagrams equal modulo the symmetric
 monoidal equations are identical by construction.  ``normalize`` additionally
 quotients by the parallel-composition monoid laws, the copy/discard comonoid
-laws, the beta step (apply over thunk), and always deletes closed name sources
-that end in a discard.  ``equal`` compares normal forms up to port-graph
-isomorphism, with an iterative-refinement hash as a fast filter.
+laws, the beta step (apply over thunk), the exchange law of captured wires
+(a thunk's captured inputs permute together with its body's captured domain
+ports), and always deletes closed name sources that end in a discard.
+``equal`` compares normal forms up to port-graph isomorphism, with an
+iterative-refinement hash as a fast filter.
 
 Normalization is one ordered pass over one copy: normalize each thunk body in
 place, fire each apply fed by a thunk, rebuild each maximal par tree as one
 node without stops and each maximal copy tree as one node without discards,
-then delete each name or fresh source that feeds a discard.  One pass is
-enough because no step makes work for an earlier one: a normal body holds no
-apply, so splicing it makes no beta redex; par and copy trees share no wire
-type; and a deleted source-discard pair belongs to neither tree.  Tree walks
-use an explicit stack, and a body the pass leaves alone keeps its colouring.
+then delete each name or fresh source that feeds a discard, and last put each
+thunk's captured inputs in an order read off the diagram (``_order_captures``).
+One pass is enough because no step makes work for an earlier one: a normal
+body holds no apply, so splicing it makes no beta redex; par and copy trees
+share no wire type; a deleted source-discard pair belongs to neither tree; and
+reordering captures only rewires ports.  Tree walks use an explicit stack,
+and a body the pass leaves alone keeps its colouring.
 
 Each diagram is coloured once.  ``_coloring`` refines canonical integer
 colours until the number of colour classes stops changing, folds every
@@ -216,10 +220,12 @@ class Diagram:
         self._src: dict[Port, Port] = {}
         self._colors: tuple[str, dict[int, int]] | None = None
         self._sig: str | None = None
+        self._blind: tuple | None = None
 
     def _invalidate(self) -> None:
         self._colors = None
         self._sig = None
+        self._blind = None
 
     # -- construction ------------------------------------------------------
 
@@ -311,6 +317,7 @@ class Diagram:
         d._src = dict(self._src)
         d._colors = self._colors
         d._sig = self._sig
+        d._blind = self._blind
         return d
 
     def validate(self) -> None:
@@ -595,10 +602,116 @@ def _drop_scalars(d: Diagram) -> None:
             _detach(d, cons[1])
 
 
-def _normalize_in_place(d: Diagram) -> None:
+def _blind_class(d: Diagram, ncap: int, caps: dict[int, list[tuple]], port: Port) -> tuple:
+    """The port class of ``_blind_coloring``.
+
+    Captured domain ports are one class, and thunk input j is classed by its
+    body's blind end for j (``caps``).
+    """
+    side = port[0]
+    if side == "dom":
+        return (port[1],) if port[1] < len(d.dom) - ncap else (-1,)
+    if side == "cod":
+        return (port[1],)
+    kind = d.nodes[port[1]].kind
+    if (kind, side) in _UNORDERED:
+        return (-1,)
+    if kind == "thunk" and side == "in":
+        return (-2,) + caps[port[1]][port[2]]
+    return (port[2],)
+
+
+def _peer_key(port: Port) -> int:
+    side = port[0]
+    return _DOM if side == "dom" else _COD if side == "cod" else port[1]
+
+
+def _blind_coloring(d: Diagram, ncap: int) -> tuple:
+    """A colour refinement of d that no order of captured wires can change.
+
+    The last ``ncap`` domain ports of d are captured wires (see
+    ``_blind_class``), and a thunk is coloured by its body's blind digest.
+    Returns the digest, the colour per node (boundary keys included), the
+    blind (colour, class) end of each domain port's consumer, and the
+    thunk input classes.  Cached on d.
+    """
+    if d._blind is not None and d._blind[0] == ncap:
+        return d._blind[1]
+    caps: dict[int, list[tuple]] = {}
+    descs: dict[int, tuple] = {}
+    for nid, node in d.nodes.items():
+        digest = ""
+        if node.inner is not None:
+            digest, _, ends, _ = _blind_coloring(node.inner, node.cap)
+            caps[nid] = ends[node.arity:]
+        descs[nid] = (node.kind, node.arity, node.cap, node.label, digest)
+
+    def cls(port: Port) -> tuple:
+        return _blind_class(d, ncap, caps, port)
+
+    links = {
+        nid: ([(cls(p), _peer_key(d._src[p]), cls(d._src[p])) for p in d.in_ports(nid)],
+              [(cls(p), _peer_key(d._dst[p]), cls(d._dst[p])) for p in d.out_ports(nid)])
+        for nid in d.nodes
+    }
+    digest, colors = _refine(descs, links)
+    colors[_DOM], colors[_COD] = _DOM, _COD
+    ends = []
+    for k in range(len(d.dom)):
+        cons = d._dst[("dom", k)]
+        ends.append((colors[_peer_key(cons)], cls(cons)))
+    d._blind = (ncap, (digest, colors, ends, caps))
+    return d._blind[1]
+
+
+def _consumer_key(d: Diagram, port: Port) -> tuple:
+    """The generator and port class of a body's name wire consumer; thunk inputs are one class."""
+    node = d.nodes[port[1]]
+    return (node.kind, node.arity, -1 if node.kind == "thunk" else port[2])
+
+
+def _order_captures(d: Diagram, ncap: int) -> None:
+    """Put the captured inputs of each thunk in d in an order read off the diagram.
+
+    The exchange law: permuting a thunk's captured inputs together with its
+    body's captured domain ports leaves the morphism unchanged.  A captured
+    position is keyed by the port that consumes it in the body; if two keys
+    tie, by its blind end in the body; if two still tie, also by the blind
+    end of its producer in d (see ``_blind_coloring``).  Whether keys tie does
+    not depend on the order either, and equal keys keep their order.
+    """
+    thunks = sorted(nid for nid, node in d.nodes.items()
+                    if node.kind == "thunk" and node.cap >= 2)
+    outer = None
+    for t in thunks:
+        node = d.nodes[t]
+        body, n = node.inner, node.arity
+        prods = [d.producer(("in", t, j)) for j in range(node.cap)]
+        cons = [body.consumer(("dom", n + j)) for j in range(node.cap)]
+        keys: list = [_consumer_key(body, c) for c in cons]
+        if len(set(keys)) < node.cap:
+            keys = _blind_coloring(body, node.cap)[2][n:]
+        if len(set(keys)) < node.cap:
+            if outer is None:
+                outer = _blind_coloring(d, ncap)
+            _, colors, _, caps = outer
+            keys = [(k, colors[_peer_key(p)], _blind_class(d, ncap, caps, p))
+                    for k, p in zip(keys, prods)]
+        perm = sorted(range(node.cap), key=lambda j: (keys[j], j))
+        if perm == list(range(node.cap)):
+            continue
+        for j in range(node.cap):
+            d.disconnect(("in", t, j))
+            body.disconnect(cons[j])
+        for i, j in enumerate(perm):
+            d.connect(prods[j], ("in", t, i))
+            body.connect(("dom", n + i), cons[j])
+
+
+def _normalize_in_place(d: Diagram, ncap: int = 0) -> None:
     for node in d.nodes.values():
         if node.inner is not None:
-            _normalize_in_place(node.inner)
+            _normalize_in_place(node.inner, node.cap)
             # a body is unsigned only if it changed or d was never coloured
             if node.inner._sig is None:
                 d._invalidate()
@@ -606,6 +719,7 @@ def _normalize_in_place(d: Diagram) -> None:
     _flatten(d, "par", "stop")
     _flatten(d, "copy", "discard")
     _drop_scalars(d)
+    _order_captures(d, ncap)
 
 
 def normalize(d: Diagram) -> Diagram:
@@ -679,7 +793,6 @@ def _coloring(d: Diagram) -> tuple[str, dict[int, int]]:
     """
     if d._colors is not None:
         return d._colors
-    digest = hashlib.sha256()
     descs: dict[int, tuple] = {}
     links: dict[int, tuple[list, list]] = {}
     for nid, node in d.nodes.items():
@@ -694,6 +807,18 @@ def _coloring(d: Diagram) -> tuple[str, dict[int, int]]:
             [_end(d, -1 if out_free else k, d._dst[("out", nid, k)])
              for k in range(len(outs))],
         )
+    d._colors = _refine(descs, links)
+    return d._colors
+
+
+def _refine(descs: dict[int, tuple], links: dict[int, tuple[list, list]]
+            ) -> tuple[str, dict[int, int]]:
+    """Refine round-0 descriptors by the colours of each node's wire ends.
+
+    ``links`` gives each node's (in, out) ends as (own class, peer key, peer
+    class); rounds stop when the number of colour classes stops changing.
+    """
+    digest = hashlib.sha256()
     colors, count = _number(descs, digest)
     while count < len(links):
         colors[_DOM], colors[_COD] = _DOM, _COD
@@ -707,8 +832,7 @@ def _coloring(d: Diagram) -> tuple[str, dict[int, int]]:
         if refined == count:
             break
         count = refined
-    d._colors = (digest.hexdigest()[:16], colors)
-    return d._colors
+    return digest.hexdigest()[:16], colors
 
 
 def signature(d: Diagram) -> str:

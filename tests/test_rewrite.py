@@ -63,6 +63,13 @@ class TestApplyComm:
         (r,) = find_diagram_redexes(td)
         assert top_equal(apply_comm(td, r), top("u!()"))
 
+    def test_rewritten_thunk_orders_captures_like_the_reduct(self):
+        # the inner thunk captures [b, x] in name order; after x := a the
+        # reduct's thunk captures [a, b], so only a diagram-side order agrees
+        td = top("a?(x) => b?() => x!(b) | a!(a)")
+        (r,) = find_diagram_redexes(td)
+        assert top_equal(apply_comm(td, r), top("b?() => a!(b)"))
+
     def test_zero_arity(self):
         td = top("x?() => 0 | x!()")
         (r,) = find_diagram_redexes(td)

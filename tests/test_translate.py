@@ -1,4 +1,3 @@
-import pytest
 from hypothesis import given, settings
 
 from conftest import congruence_class_terms, process_st
@@ -126,15 +125,9 @@ class TestAlphaEquivalence:
     def test_terms_are_alpha_equivalent(self):
         assert canonical_form(parse(ALPHA_LEFT)) == canonical_form(parse(ALPHA_RIGHT))
 
-    @pytest.mark.xfail(strict=True, reason=(
-        "a thunk's captured wires are ordered by sorted binder name, so renaming "
-        "binders can reorder the thunk's inputs and change the diagram"))
     def test_alpha_equivalent_terms_have_equal_top_diagrams(self):
         assert top_equal(translate_top(parse(ALPHA_LEFT)), translate_top(parse(ALPHA_RIGHT)))
 
-    @pytest.mark.xfail(strict=True, reason=(
-        "a thunk's captured wires are ordered by sorted binder name, so the canonical "
-        "renaming of x to n0 reorders the thunk's inputs [u, x] to [n0, u]"))
     def test_congruent_pair_with_renamed_captured_binder(self):
         # a counterexample of test_congruence_soundness, pinned so that it does not
         # depend on a local example database
@@ -142,6 +135,18 @@ class TestAlphaEquivalence:
         q = parse("(new n0)(a?() => u!(n0) | x?() => 0)")
         assert congruent(p, q)
         assert top_equal(translate_top(p, 1, True), translate_top(q, 1, True))
+
+    def test_symmetric_body_orders_captures_by_their_sources(self):
+        # swapping p and u is a symmetry of the body, so only the captured
+        # wires' sources (a fresh name and the constant u) can order them
+        p = parse("(new p)(a?() => (p!(u) | u!(p)))")
+        q = parse("(new z)(a?() => (z!(u) | u!(z)))")
+        assert top_equal(translate_top(p), translate_top(q))
+
+    def test_capture_order_keeps_distinct_wirings_apart(self):
+        # reordering captured inputs moves the body's ports with them
+        assert not top_equal(translate_top(parse("a?() => u!(x)")),
+                             translate_top(parse("a?() => x!(u)")))
 
 
 class TestContexts:
