@@ -24,8 +24,8 @@ quotients by the parallel-composition monoid laws, the copy/discard comonoid
 laws, the beta step (apply over thunk), the exchange law of captured wires
 (a thunk's captured inputs permute together with its body's captured domain
 ports), and always deletes closed name sources that end in a discard.
-``equal`` compares normal forms up to port-graph isomorphism, with an
-iterative-refinement hash as a fast filter.
+``equal`` compares normal forms up to port-graph isomorphism, which is
+equality of their signatures.
 
 Normalization is one ordered pass over one copy: normalize each thunk body in
 place, fire each apply fed by a thunk, rebuild each maximal par tree as one
@@ -41,9 +41,12 @@ and a body the pass leaves alone keeps its colouring.
 Each diagram is coloured once.  ``_coloring`` refines canonical integer
 colours until the number of colour classes stops changing, folds every
 round's table into one digest, and caches the result on the diagram; every
-mutator clears that cache.  The one colouring serves ``signature`` (hashed
-once at the end), ``isomorphic`` (digests first, then a backtracking match
-within colour classes) and the node ids of ``to_json`` and ``to_dot``.
+mutator clears that cache.  The colouring gives the node ids of ``to_json``
+and ``to_dot``.  Where it has no ties it is a canonical labelling; where ties
+remain, ``_least_leaf`` refines it to one by individualization-refinement
+(McKay and Piperno, "Practical graph isomorphism II", 2014).  ``signature``
+hashes the certificate of that labelling, so diagrams are isomorphic iff
+their signatures are equal, which is what ``isomorphic`` compares.
 """
 
 from __future__ import annotations
@@ -51,7 +54,6 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
-from collections import Counter
 from dataclasses import dataclass
 from typing import Iterator, Sequence, Union
 
@@ -191,14 +193,6 @@ class Node:
 _UNORDERED = {("par", "in"), ("copy", "out")}
 
 Port = tuple  # ('in', nid, k) | ('out', nid, k) | ('dom', k) | ('cod', k)
-
-
-def _port_class(diagram: "Diagram", port: Port) -> int:
-    if port[0] in ("dom", "cod"):
-        return port[1]
-    if (diagram.nodes[port[1]].kind, port[0]) in _UNORDERED:
-        return -1
-    return port[2]
 
 
 class Diagram:
@@ -733,25 +727,37 @@ def normalize(d: Diagram) -> Diagram:
 
 
 # ---------------------------------------------------------------------------
-# Canonical hashing and equality
+# Canonical labelling and equality
 
 
-def _hash(payload: object) -> str:
-    return hashlib.sha256(repr(payload).encode()).hexdigest()[:16]
-
-
-# Peer colours of boundary ports; node colours are >= 0.
+# Peer keys of boundary ports; node ids and colours are >= 0.
 _DOM, _COD = -1, -2
 
 
-def _peer_desc(d: Diagram, colors: dict[int, int], port: Port) -> tuple[int, int]:
-    """A wire end as (colour, port class); a boundary port as (_DOM/_COD, position)."""
+def _end(d: Diagram, port: Port) -> tuple[int, int]:
+    """A wire end as (node, port class) or (_DOM/_COD, position); unordered ports are -1."""
     side = port[0]
     if side == "dom":
         return (_DOM, port[1])
     if side == "cod":
         return (_COD, port[1])
-    return (colors[port[1]], _port_class(d, port))
+    nid = port[1]
+    return (nid, -1 if (d.nodes[nid].kind, side) in _UNORDERED else port[2])
+
+
+def _graph(d: Diagram) -> tuple[dict[int, tuple], dict[int, tuple[list, list]], list]:
+    """The round-0 descriptors and links that ``_refine`` takes, and each wire's ends."""
+    descs = {nid: (node.kind, node.arity, node.cap, node.label,
+                   signature(node.inner) if node.inner is not None else "")
+             for nid, node in d.nodes.items()}
+    links: dict[int, tuple[list, list]] = {nid: ([], []) for nid in d.nodes}
+    wires = [(_end(d, src), _end(d, dst)) for src, dst in d._dst.items()]
+    for (sk, sc), (dk, dc) in wires:
+        if sk >= 0:
+            links[sk][1].append((sc, dk, dc))
+        if dk >= 0:
+            links[dk][0].append((dc, sk, sc))
+    return descs, links, wires
 
 
 def _number(descs: dict[int, tuple], digest) -> tuple[dict[int, int], int]:
@@ -770,44 +776,15 @@ def _number(descs: dict[int, tuple], digest) -> tuple[dict[int, int], int]:
     return colors, len(table)
 
 
-def _end(d: Diagram, own: int, peer: Port) -> tuple[int, int, int]:
-    """(own port class, peer key, peer port class) of one wired port.
-
-    The peer key is a node id, or _DOM/_COD with the boundary position as class.
-    """
-    if peer[0] == "dom":
-        return (own, _DOM, peer[1])
-    if peer[0] == "cod":
-        return (own, _COD, peer[1])
-    return (own, peer[1], _port_class(d, peer))
-
-
 def _coloring(d: Diagram) -> tuple[str, dict[int, int]]:
     """The stable colour refinement of d: (digest of all rounds, colour per node).
 
-    Round 0 colours a node by its generator and the signature of its inner
-    diagram; each later round adds the sorted colours of its wire ends, until
-    the number of colour classes stops changing.  Colours are canonical
-    integers, so isomorphic diagrams get the same digest and corresponding
-    nodes the same colour.  Computed once and cached on d.
+    Colours are canonical integers: isomorphic diagrams get the same digest
+    and corresponding nodes the same colour.  Cached on d.
     """
-    if d._colors is not None:
-        return d._colors
-    descs: dict[int, tuple] = {}
-    links: dict[int, tuple[list, list]] = {}
-    for nid, node in d.nodes.items():
-        descs[nid] = (node.kind, node.arity, node.cap, node.label,
-                      signature(node.inner) if node.inner is not None else "")
-        ins, outs = node.ports()
-        in_free = (node.kind, "in") in _UNORDERED
-        out_free = (node.kind, "out") in _UNORDERED
-        links[nid] = (
-            [_end(d, -1 if in_free else k, d._src[("in", nid, k)])
-             for k in range(len(ins))],
-            [_end(d, -1 if out_free else k, d._dst[("out", nid, k)])
-             for k in range(len(outs))],
-        )
-    d._colors = _refine(descs, links)
+    if d._colors is None:
+        descs, links, _ = _graph(d)
+        d._colors = _refine(descs, links)
     return d._colors
 
 
@@ -832,97 +809,116 @@ def _refine(descs: dict[int, tuple], links: dict[int, tuple[list, list]]
         if refined == count:
             break
         count = refined
-    return digest.hexdigest()[:16], colors
+    return digest.hexdigest(), colors
+
+
+def _wire_table(colors: dict[int, int], wires: list) -> tuple:
+    """The sorted wires between coloured ends; boundary keys stand for themselves."""
+    return tuple(sorted(((colors.get(sk, sk), sc), (colors.get(dk, dk), dc))
+                        for (sk, sc), (dk, dc) in wires))
+
+
+def _target_cell(colors: dict[int, int]) -> list[int]:
+    """The nodes of the first smallest colour class with two or more nodes, or []."""
+    cells: dict[int, list[int]] = {}
+    for nid, c in sorted(colors.items()):
+        cells.setdefault(c, []).append(nid)
+    tied = (m for m in cells.values() if len(m) > 1)
+    return min(tied, key=lambda m: (len(m), colors[m[0]]), default=[])
+
+
+def _unsearched(cell: list[int], tried: list[int], gens: list[dict[int, int]]) -> int | None:
+    """The first node of cell outside the orbits of the tried nodes under gens."""
+    orbit, todo = set(tried), list(tried)
+    while todo:
+        x = todo.pop()
+        for y in {g.get(x, x) for g in gens} - orbit:
+            orbit.add(y)
+            todo.append(y)
+    return next((w for w in cell if w not in orbit), None)
+
+
+def _least_leaf(descs: dict[int, tuple], links: dict[int, tuple[list, list]],
+                wires: list, root: tuple[str, dict[int, int]]) -> tuple[str, tuple]:
+    """The least leaf certificate of the individualization-refinement tree under ``root``.
+
+    A tree node is a sequence of nodes, coloured by ``_refine`` with the i-th
+    marked i in its round-0 descriptor; it has one child per node of its first
+    smallest tied cell.  A leaf's colouring is discrete, and its certificate
+    is its digest (which fixes each node's marked descriptor) and its wires.
+    A leaf whose certificate equals the first or the least leaf's gives an
+    automorphism mapping that leaf's sequence onto its own, so the subtree
+    where the two sequences part is abandoned, and children in one orbit of
+    the automorphisms that fix their parent's sequence are searched once.
+    Swapping two twins, nodes with equal descriptors and wire ends, is an
+    automorphism known from the start.
+    """
+    digest, colors = root
+    cell = _target_cell(colors)
+    if not cell:
+        return digest, _wire_table(colors, wires)
+    first = best = None  # (certificate, sequence, colours) of a leaf
+    twins: dict[tuple, list[int]] = {}
+    for nid, (ins, outs) in sorted(links.items()):
+        twins.setdefault((descs[nid], tuple(sorted(ins)), tuple(sorted(outs))), []).append(nid)
+    auts = [{u: v, v: u} for group in twins.values() for u, v in zip(group, group[1:])]
+    stack: list[tuple[list[int], list[int], list[int]]] = [([], cell, [])]
+    while stack:
+        seq, cell, tried = stack[-1]
+        w = _unsearched(cell, tried, [g for g in auts if all(g.get(v, v) == v for v in seq)])
+        if w is None:
+            stack.pop()
+            continue
+        tried.append(w)
+        seq = seq + [w]
+        marked = {v: descs[v] + (i,) for i, v in enumerate(seq, 1)}
+        digest, colors = _refine({**descs, **marked}, links)
+        cell = _target_cell(colors)
+        if cell:
+            stack.append((seq, cell, []))
+            continue
+        leaf = ((digest, _wire_table(colors, wires)), seq, colors)
+        if first is None:
+            first = best = leaf
+            continue
+        for cert, earlier, at in (first, best):
+            if leaf[0] == cert:
+                node_of = {c: nid for nid, c in colors.items()}
+                auts.append({nid: node_of[c] for nid, c in at.items()})
+                split = next(i for i, (u, v) in enumerate(zip(earlier, seq)) if u != v)
+                del stack[split + 1:]
+                break
+        else:
+            if leaf[0] < best[0]:
+                best = leaf
+    return best[0]
 
 
 def signature(d: Diagram) -> str:
-    """A run-stable canonical hash; isomorphic diagrams hash equally.
+    """A run-stable canonical hash, equal iff the diagrams are isomorphic; cached on d.
 
-    Hashes the interface, the colour digest of ``_coloring`` and the wires
-    between coloured ends, once per diagram: the result is cached on d, and
-    the same colouring serves ``isomorphic`` and the export ids.
+    Hashes the interface and the certificate of ``_least_leaf``: where the
+    colouring has no ties, its digest and the wires between coloured ends.
     """
     if d._sig is None:
-        digest, colors = _coloring(d)
+        descs, links, wires = _graph(d)
+        if d._colors is None:
+            d._colors = _refine(descs, links)
+        digest, table = _least_leaf(descs, links, wires, d._colors)
         # a wire's type follows from its ends: the node colours and the interface
-        wires = sorted(
-            (_peer_desc(d, colors, src), _peer_desc(d, colors, dst))
-            for src, dst in d._dst.items()
-        )
-        d._sig = _hash((tuple(str(t) for t in d.dom), tuple(str(t) for t in d.cod),
-                        digest, tuple(wires)))
+        payload = (tuple(str(t) for t in d.dom), tuple(str(t) for t in d.cod), digest, table)
+        d._sig = hashlib.sha256(repr(payload).encode()).hexdigest()
     return d._sig
 
 
-def _mapped_wires(d: Diagram, mapping: dict[int, int]) -> Counter:
-    def desc(port: Port) -> tuple:
-        if port[0] in ("dom", "cod"):
-            return (port[0], port[1])
-        side, nid, k = port
-        return (side, mapping[nid], _port_class(d, port))
-
-    return Counter((desc(src), desc(dst)) for src, dst in d._dst.items())
-
-
-def _identity_wires(d: Diagram) -> Counter:
-    return _mapped_wires(d, {nid: nid for nid in d.nodes})
-
-
 def isomorphic(a: Diagram, b: Diagram) -> bool:
-    """Exact interfaced port-graph isomorphism (expects normalized inputs)."""
-    if a.dom != b.dom or a.cod != b.cod:
-        return False
-    if len(a.nodes) != len(b.nodes) or len(a._dst) != len(b._dst):
-        return False
-    digest_a, ca = _coloring(a)
-    digest_b, cb = _coloring(b)
-    # equal digests mean equal colour tables and class sizes in every round
-    if digest_a != digest_b:
-        return False
-    by_color: dict[int, list[int]] = {}
-    for nid, c in cb.items():
-        by_color.setdefault(c, []).append(nid)
-    a_order = sorted(a.nodes, key=lambda nid: (ca[nid], nid))
-    target = _identity_wires(b)
-
-    def compatible(x: int, y: int) -> bool:
-        na, nb = a.nodes[x], b.nodes[y]
-        if (na.kind, na.arity, na.cap, na.label) != (nb.kind, nb.arity, nb.cap, nb.label):
-            return False
-        if (na.inner is None) != (nb.inner is None):
-            return False
-        if na.inner is not None and not isomorphic(na.inner, nb.inner):
-            return False
-        return True
-
-    mapping: dict[int, int] = {}
-    used: set[int] = set()
-
-    def assign(i: int) -> bool:
-        if i == len(a_order):
-            return _mapped_wires(a, mapping) == target
-        x = a_order[i]
-        for y in by_color.get(ca[x], []):
-            if y in used or not compatible(x, y):
-                continue
-            mapping[x] = y
-            used.add(y)
-            if assign(i + 1):
-                return True
-            del mapping[x]
-            used.discard(y)
-        return False
-
-    return assign(0)
+    """Interfaced port-graph isomorphism (expects normalized inputs): equal signatures."""
+    return signature(a) == signature(b)
 
 
 def equal(d1: Diagram, d2: Diagram) -> bool:
     """Diagram equality: isomorphism of normal forms."""
-    n1 = normalize(d1)
-    n2 = normalize(d2)
-    if signature(n1) != signature(n2):
-        return False
-    return isomorphic(n1, n2)
+    return isomorphic(normalize(d1), normalize(d2))
 
 
 # ---------------------------------------------------------------------------

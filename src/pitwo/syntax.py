@@ -349,8 +349,20 @@ def _subst(p: Process, m: dict[Name, Name]) -> Process:
             return p
         case Output(subject, args):
             return Output(m.get(subject, subject), tuple(m.get(a, a) for a in args))
-        case Par(left, right):
-            return Par(_subst(left, m), _subst(right, m))
+        case Par():
+            # Post-order with an explicit stack: inner Par nodes do not filter m again.
+            done: list[Process] = []
+            stack: list[tuple[Process, bool]] = [(p, False)]
+            while stack:
+                q, expanded = stack.pop()
+                if expanded:
+                    right = done.pop()
+                    done.append(Par(done.pop(), right))
+                elif isinstance(q, Par):
+                    stack += [(q, True), (q.right, False), (q.left, False)]
+                else:
+                    done.append(_subst(q, m))
+            return done[0]
         case New(binder, body):
             inner = {k: v for k, v in m.items() if k != binder}
             if binder in inner.values():
@@ -592,18 +604,28 @@ def to_json(p: Process) -> dict:
 
 
 def from_json(d: dict) -> Process:
-    tag = d.get("tag")
-    if tag == "stop":
-        return Stop()
-    if tag == "input":
-        return Input(Name(d["subject"]), tuple(Name(y) for y in d["params"]), from_json(d["body"]))
-    if tag == "output":
-        return Output(Name(d["subject"]), tuple(Name(a) for a in d["args"]))
-    if tag == "new":
-        return New(Name(d["binder"]), from_json(d["body"]))
-    if tag == "par":
-        return Par(from_json(d["left"]), from_json(d["right"]))
-    raise ValueError(f"unknown process tag: {tag!r}")
+    done: list[Process] = []
+    stack: list[tuple[dict, bool]] = [(d, False)]  # each object, and whether its children are built
+    while stack:
+        q, built = stack.pop()
+        tag = q.get("tag")
+        if tag == "stop":
+            done.append(Stop())
+        elif tag == "output":
+            done.append(Output(Name(q["subject"]), tuple(Name(a) for a in q["args"])))
+        elif tag not in ("input", "new", "par"):
+            raise ValueError(f"unknown process tag: {tag!r}")
+        elif not built:
+            children = [q["right"], q["left"]] if tag == "par" else [q["body"]]
+            stack += [(q, True)] + [(c, False) for c in children]
+        elif tag == "input":
+            done.append(Input(Name(q["subject"]), tuple(Name(y) for y in q["params"]), done.pop()))
+        elif tag == "new":
+            done.append(New(Name(q["binder"]), done.pop()))
+        else:
+            right = done.pop()
+            done.append(Par(done.pop(), right))
+    return done[0]
 
 
 def dumps(p: Process) -> str:

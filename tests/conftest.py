@@ -2,13 +2,15 @@
 
 The oracles here deliberately re-derive results through a different route
 than the library code: canonical forms by renamed copies and every binder
-order, naive inductive reduction, rename-apart substitution, and a
-greatest-fixpoint bisimulation over the full relation lattice.
+order, naive inductive reduction, rename-apart substitution, a
+greatest-fixpoint bisimulation over the full relation lattice, and diagram
+isomorphism by backtracking over node mappings.
 """
 
 from __future__ import annotations
 
 import random
+from collections import Counter
 from itertools import permutations
 
 import hypothesis.strategies as st
@@ -30,6 +32,7 @@ from pitwo.congruence import (
     canonical_form,
     term_size,
 )
+from pitwo.diagram import _UNORDERED, Diagram, _coloring
 from pitwo.syntax import (
     Input,
     Name,
@@ -338,3 +341,80 @@ def gfp_relation(succ: list[list[int]], barb_sets: list, weak: bool = False) -> 
                 rel.discard((i, j))
                 changed = True
     return rel
+
+
+# ---------------------------------------------------------------------------
+# Diagram isomorphism oracle: backtracking over node mappings within colour
+# classes, checking the wires once a mapping is complete.  It shares only the
+# stable colouring with the library, as a filter, and none of its
+# individualization search; exponential in the size of a colour class.
+
+
+def _port_class(diagram: Diagram, port: tuple) -> int:
+    if port[0] in ("dom", "cod"):
+        return port[1]
+    if (diagram.nodes[port[1]].kind, port[0]) in _UNORDERED:
+        return -1
+    return port[2]
+
+
+def _mapped_wires(d: Diagram, mapping: dict[int, int]) -> Counter:
+    def desc(port: tuple) -> tuple:
+        if port[0] in ("dom", "cod"):
+            return (port[0], port[1])
+        side, nid, k = port
+        return (side, mapping[nid], _port_class(d, port))
+
+    return Counter((desc(src), desc(dst)) for src, dst in d._dst.items())
+
+
+def _identity_wires(d: Diagram) -> Counter:
+    return _mapped_wires(d, {nid: nid for nid in d.nodes})
+
+
+def naive_isomorphic(a: Diagram, b: Diagram) -> bool:
+    """Exact interfaced port-graph isomorphism (expects normalized inputs)."""
+    if a.dom != b.dom or a.cod != b.cod:
+        return False
+    if len(a.nodes) != len(b.nodes) or len(a._dst) != len(b._dst):
+        return False
+    digest_a, ca = _coloring(a)
+    digest_b, cb = _coloring(b)
+    # equal digests mean equal colour tables and class sizes in every round
+    if digest_a != digest_b:
+        return False
+    by_color: dict[int, list[int]] = {}
+    for nid, c in cb.items():
+        by_color.setdefault(c, []).append(nid)
+    a_order = sorted(a.nodes, key=lambda nid: (ca[nid], nid))
+    target = _identity_wires(b)
+
+    def compatible(x: int, y: int) -> bool:
+        na, nb = a.nodes[x], b.nodes[y]
+        if (na.kind, na.arity, na.cap, na.label) != (nb.kind, nb.arity, nb.cap, nb.label):
+            return False
+        if (na.inner is None) != (nb.inner is None):
+            return False
+        if na.inner is not None and not naive_isomorphic(na.inner, nb.inner):
+            return False
+        return True
+
+    mapping: dict[int, int] = {}
+    used: set[int] = set()
+
+    def assign(i: int) -> bool:
+        if i == len(a_order):
+            return _mapped_wires(a, mapping) == target
+        x = a_order[i]
+        for y in by_color.get(ca[x], []):
+            if y in used or not compatible(x, y):
+                continue
+            mapping[x] = y
+            used.add(y)
+            if assign(i + 1):
+                return True
+            del mapping[x]
+            used.discard(y)
+        return False
+
+    return assign(0)

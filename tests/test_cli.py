@@ -6,7 +6,7 @@ import time
 
 from pitwo.cli import main
 from pitwo.congruence import congruent
-from pitwo.syntax import MAX_NESTING, parse
+from pitwo.syntax import MAX_NESTING, from_json, parse, to_json
 
 
 def run(capsys, *argv):
@@ -180,14 +180,19 @@ class TestErrors:
     def test_wide_term_no_traceback(self, capsys):
         # Every walk over a parallel tree keeps an explicit stack, and no hash
         # recurses.  translate --top has the larger budget because most of its
-        # time goes to exporting a diagram of 5006 nodes and 15004 wires.
+        # time goes to exporting a diagram of 5006 nodes and 15004 wires.  The
+        # last step substitutes into a body of 3000 parallel parts.
         wide = " | ".join(["a!(b)"] * 5000)
-        for argv, budget_s in ((["canon"], 1.0), (["step"], 1.0), (["barbs"], 1.0),
-                               (["translate", "--top"], 2.0)):
+        fires_wide = "a!(b) | a?(x) => (" + " | ".join(["x!()"] * 3000) + ")"
+        for argv, term, budget_s in ((["canon"], wide, 1.0), (["step"], wide, 1.0),
+                                     (["barbs"], wide, 1.0), (["translate", "--top"], wide, 2.0),
+                                     (["step"], fires_wide, 1.0)):
             t0 = time.process_time()
-            assert main([*argv, wide]) == 0, argv
+            assert main([*argv, term]) == 0, argv
             assert time.process_time() - t0 < budget_s, argv
             assert capsys.readouterr().err == ""
+        p = parse(wide)
+        assert from_json(to_json(p)) is p
 
     def test_outputs_reparse_to_congruent_terms(self, capsys):
         code = main(["--json", "step", "(new x)(x?(v) => 0 | x!(a))"])

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 
 import pitwo
 
-from conftest import process_st
+from conftest import naive_isomorphic, process_st
 from pitwo import diagram as dg
 from pitwo.diagram import (
     Diagram,
@@ -35,8 +35,9 @@ from pitwo.diagram import (
     tensor,
     tensor_type,
 )
-from pitwo.syntax import parse
-from pitwo.translate import translate, translate_top
+from pitwo.rewrite import apply_comm, find_diagram_redexes
+from pitwo.syntax import Par, parse
+from pitwo.translate import top_equal, translate, translate_top
 
 
 def closed_proc(label: str) -> Diagram:
@@ -371,6 +372,35 @@ def relabel(d: Diagram, rng) -> Diagram:
     return out
 
 
+def cycles(*lengths: int) -> str:
+    """Private names x0, x1, ..., each sent on the one before it, in cycles of these lengths."""
+    parts, k = [], 0
+    for n in lengths:
+        parts += [f"x{k + i}!(x{k + (i + 1) % n})" for i in range(n)]
+        k += n
+    return "".join(f"(new x{i})" for i in range(k)) + "(" + " | ".join(parts) + ")"
+
+
+# Top diagrams whose stable colouring has ties; in the 2-cycle plus 3-cycle,
+# the tied cell of private names is not one orbit.
+TIED_TERMS = [
+    "x?() => x?() => 0 | x!() | x!()",
+    cycles(5),
+    cycles(2, 3),
+    " | ".join(["a!(b)"] * 6),
+]
+
+# Small tied shapes for the naive oracle, which is exponential in a colour class.
+TIED_SHAPES = [
+    "x?() => x?() => 0 | x!() | x!()",
+    cycles(3),
+    cycles(1, 2),
+    cycles(1, 1, 1),
+    "a!(b) | a!(b) | a!(b)",
+    "a!(b) | a!(b) | b!(a)",
+    "a?(x) => x!() | a?(x) => x!() | a!(b)",
+]
+
 HASH_SEED_TERMS = [
     "x?(y) => y!() | x!(u)",
     "(new r)(r!(a) | r?(v) => v!(b) | a?() => b!())",
@@ -383,7 +413,9 @@ class TestColoring:
     @given(process_st(max_leaves=5), st.randoms(use_true_random=False))
     def test_relabelling_keeps_signature_and_equality(self, p, rng):
         d = translate(p)
-        for x in (d, normalize(d)):
+        tied = [translate_top(parse(t)).diagram for t in TIED_TERMS]
+        assert all(len(set(dg._coloring(x)[1].values())) < len(x.nodes) for x in tied)
+        for x in (d, normalize(d), *tied):
             y = relabel(x, rng)
             assert signature(y) == signature(x)
             assert equal(y, x)
@@ -437,3 +469,38 @@ class TestColoring:
         # the same run-stable values as this interpreter computes
         first = translate_top(parse(HASH_SEED_TERMS[0])).diagram
         assert outs[0].startswith(signature(first) + "\n" + dg.dumps(first))
+
+
+class TestCanonicalLabelling:
+    @settings(max_examples=60, deadline=None)
+    @given(process_st(max_leaves=4), process_st(max_leaves=4),
+           st.lists(st.sampled_from(TIED_SHAPES), min_size=2, max_size=2),
+           st.integers(0, 2**32))
+    def test_signature_equality_is_naive_isomorphism(self, p, q, shapes, seed):
+        tops = [translate_top(t) for t in (p, q, Par(p, p), *map(parse, shapes))]
+        pool = [normalize(translate(p)), normalize(translate(q))]
+        pool += [td.diagram for td in tops]
+        pool += [apply_comm(td, r).diagram for td in tops[:3] for r in find_diagram_redexes(td)]
+        rng = random.Random(seed)
+        pool += [relabel(x, rng) for x in pool]
+        for x in pool:
+            for y in pool:
+                assert (signature(x) == signature(y)) == naive_isomorphic(x, y)
+
+    @pytest.mark.parametrize("n", [5, 6, 8, 12])
+    def test_cycle_probe_answers_quickly(self, n):
+        whole, split = translate_top(parse(cycles(n))), translate_top(parse(cycles(2, n - 2)))
+        t0 = time.perf_counter()
+        assert not top_equal(whole, split)
+        assert time.perf_counter() - t0 < 1.0
+        for seed in range(4):
+            for td in (whole, split):
+                assert signature(td.diagram) == signature(relabel(td.diagram, random.Random(seed)))
+
+    @pytest.mark.parametrize("part", ["a!(b)", "a?(x) => x!()"])
+    def test_signature_of_parallel_copies_is_quick(self, part):
+        d = translate_top(parse(" | ".join([part] * 12))).diagram
+        t0 = time.perf_counter()
+        signature(d)
+        assert time.perf_counter() - t0 < 1.0
+        assert signature(d) == signature(relabel(d, random.Random(0)))
