@@ -17,6 +17,12 @@ and by binder swaps that are symmetries of the level.  It is fast on the
 levels met in practice but exponential in the binders of one level in the
 worst case.
 
+Canonical forms recognise themselves: every result is recorded, weakly, and
+a recorded term is returned as it is, with no binder search.  That is sound
+because the canonical form of a canonical form is itself.  It pays because
+forms come back as inputs: reduction returns canonical successors, and
+decomposes each term it steps from into its canonical form.
+
 ``oracle_congruent`` is an independent validation path: a breadth-first
 closure that applies single axiom steps (in both directions) at arbitrary
 subterm positions and tests reachability up to alpha-equivalence.
@@ -24,6 +30,7 @@ subterm positions and tests reachability up to alpha-equivalence.
 
 from __future__ import annotations
 
+import weakref
 from functools import lru_cache
 from operator import itemgetter
 
@@ -103,8 +110,21 @@ def _alpha(p: Process, env: dict[str, tuple], d: int) -> tuple:
             return ("?", _sref(subject, env), len(params), _alpha(body, env2, d + len(params)))
         case New(binder, body):
             return ("nu", _alpha(body, {**env, binder.id: ("b", d)}, d + 1))
-        case Par(left, right):
-            return ("|", _alpha(left, env, d), _alpha(right, env, d))
+        case Par():
+            # The parallel tree in postfix order, ("|",) after both sides: a
+            # flat tuple, so neither this walk nor a comparison of keys
+            # recurses.  Every item is a tuple, so shapes stay comparable.
+            shape: list = ["|"]
+            stack: list = [p]
+            while stack:
+                q = stack.pop()
+                if q is None:
+                    shape.append(("|",))
+                elif isinstance(q, Par):
+                    stack += [None, q.right, q.left]
+                else:
+                    shape.append(_alpha(q, env, d))
+            return tuple(shape)
     raise TypeError(f"not a process: {p!r}")
 
 
@@ -334,6 +354,17 @@ def _unref(ref: tuple, stack: list[Name]) -> Name:
     return Name(payload)
 
 
+def _canonical_form(p: Process, gc_vacuous: bool) -> CanonicalProcess:
+    """The canonical form of p, computed from scratch."""
+    return _rebuild(_skeleton(p, {}, 0, gc_vacuous, {}), [], _Namer(free_names(p)))
+
+
+# The canonical forms computed so far, per value of gc_vacuous (see the module
+# docstring).  Terms are interned, so a form is found whatever built it; the
+# sets hold them weakly, so a form lives no longer than its other holders.
+_FIXED = {False: weakref.WeakSet(), True: weakref.WeakSet()}
+
+
 @lru_cache(maxsize=None)
 def canonical_form(p: Process, gc_vacuous: bool = False) -> CanonicalProcess:
     """The canonical representative of p's congruence class.
@@ -342,7 +373,12 @@ def canonical_form(p: Process, gc_vacuous: bool = False) -> CanonicalProcess:
     by default only the redundancy expressible with the chain laws is (a lone
     vacuous restriction such as (new x)0 survives).
     """
-    return _rebuild(_skeleton(p, {}, 0, gc_vacuous, {}), [], _Namer(free_names(p)))
+    fixed = _FIXED[bool(gc_vacuous)]
+    if p in fixed:
+        return p
+    c = _canonical_form(p, gc_vacuous)
+    fixed.add(c)
+    return c
 
 
 def congruent(p: Process, q: Process, gc_vacuous: bool = False) -> bool:
@@ -355,14 +391,22 @@ def congruent(p: Process, q: Process, gc_vacuous: bool = False) -> bool:
 
 
 def term_size(p: Process) -> int:
-    match p:
-        case Stop() | Output():
-            return 1
-        case Input(_, _, body) | New(_, body):
-            return 1 + term_size(body)
-        case Par(left, right):
-            return 1 + term_size(left) + term_size(right)
-    raise TypeError(f"not a process: {p!r}")
+    """The number of constructors in p."""
+    size = 0
+    stack = [p]
+    while stack:
+        q = stack.pop()
+        size += 1
+        match q:
+            case Stop() | Output():
+                pass
+            case Input(_, _, body) | New(_, body):
+                stack.append(body)
+            case Par(left, right):
+                stack += [left, right]
+            case _:
+                raise TypeError(f"not a process: {q!r}")
+    return size
 
 
 def alpha_key(p: Process) -> tuple:

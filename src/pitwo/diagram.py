@@ -255,10 +255,19 @@ class Diagram:
             raise DiagramError(f"bad wire direction {src} -> {dst}")
         if src in self._dst or dst in self._src:
             raise DiagramError(f"port already wired: {src} -> {dst}")
-        if self.port_type(src) != self.port_type(dst):
-            raise InterfaceError(
-                f"type mismatch on wire {src}:{self.port_type(src)} -> {dst}:{self.port_type(dst)}"
-            )
+        # One lookup per end: a node port's type comes from its port table.
+        if src[0] == "dom":
+            st = self.dom[src[1]]
+        else:
+            node = self.nodes[src[1]]
+            st = _port_table(node.kind, node.arity, node.cap)[1][src[2]]
+        if dst[0] == "cod":
+            dt = self.cod[dst[1]]
+        else:
+            node = self.nodes[dst[1]]
+            dt = _port_table(node.kind, node.arity, node.cap)[0][dst[2]]
+        if st != dt:
+            raise InterfaceError(f"type mismatch on wire {src}:{st} -> {dst}:{dt}")
         self._invalidate()
         self._dst[src] = dst
         self._src[dst] = src
@@ -820,6 +829,8 @@ def _wire_table(colors: dict[int, int], wires: list) -> tuple:
 
 def _target_cell(colors: dict[int, int]) -> list[int]:
     """The nodes of the first smallest colour class with two or more nodes, or []."""
+    if len(set(colors.values())) == len(colors):
+        return []  # discrete: no two nodes share a colour
     cells: dict[int, list[int]] = {}
     for nid, c in sorted(colors.items()):
         cells.setdefault(c, []).append(nid)

@@ -303,31 +303,30 @@ def alpha_eq(p: Process, q: Process) -> bool:
             return ea.get(a) == eb.get(b)
         return a == b
 
-    def go(p: Process, q: Process, ea: dict[Name, int], eb: dict[Name, int], d: int) -> bool:
+    # Pairs of subterms still to compare, each with its environments and depth.
+    stack: list[tuple[Process, Process, dict[Name, int], dict[Name, int], int]] = [(p, q, {}, {}, 0)]
+    while stack:
+        p, q, ea, eb, d = stack.pop()
         match p, q:
-            case Stop(), Stop():
-                return True
-            case Hole(), Hole():
-                return True
+            case (Stop(), Stop()) | (Hole(), Hole()):
+                pass
             case Output(s1, a1), Output(s2, a2):
-                return (
-                    len(a1) == len(a2)
-                    and ref(s1, s2, ea, eb)
-                    and all(ref(x, y, ea, eb) for x, y in zip(a1, a2))
-                )
+                if len(a1) != len(a2) or not ref(s1, s2, ea, eb) or not all(
+                        ref(x, y, ea, eb) for x, y in zip(a1, a2)):
+                    return False
             case Input(s1, y1, b1), Input(s2, y2, b2):
                 if len(y1) != len(y2) or not ref(s1, s2, ea, eb):
                     return False
                 ea2 = {**ea, **{y: d + i for i, y in enumerate(y1)}}
                 eb2 = {**eb, **{y: d + i for i, y in enumerate(y2)}}
-                return go(b1, b2, ea2, eb2, d + len(y1))
+                stack.append((b1, b2, ea2, eb2, d + len(y1)))
             case New(x1, b1), New(x2, b2):
-                return go(b1, b2, {**ea, x1: d}, {**eb, x2: d}, d + 1)
+                stack.append((b1, b2, {**ea, x1: d}, {**eb, x2: d}, d + 1))
             case Par(l1, r1), Par(l2, r2):
-                return go(l1, l2, ea, eb, d) and go(r1, r2, ea, eb, d)
-        return False
-
-    return go(p, q, {}, {}, 0)
+                stack += [(r1, r2, ea, eb, d), (l1, l2, ea, eb, d)]
+            case _:
+                return False
+    return True
 
 
 def substitute(p: Process, subst: Mapping[Name, Name]) -> Process:

@@ -193,15 +193,17 @@ def top_equal(a: TopDiagram, b: TopDiagram) -> bool:
 
 
 def count_holes(c: Process) -> int:
-    match c:
-        case Hole():
-            return 1
-        case Input(_, _, body) | New(_, body):
-            return count_holes(body)
-        case Par(left, right):
-            return count_holes(left) + count_holes(right)
-        case _:
-            return 0
+    holes = 0
+    stack = [c]
+    while stack:
+        match stack.pop():
+            case Hole():
+                holes += 1
+            case Input(_, _, body) | New(_, body):
+                stack.append(body)
+            case Par(left, right):
+                stack += [left, right]
+    return holes
 
 
 def plug_term(c: Process, p: Process) -> Process:
@@ -213,8 +215,20 @@ def plug_term(c: Process, p: Process) -> Process:
             return Input(subject, params, plug_term(body, p))
         case New(binder, body):
             return New(binder, plug_term(body, p))
-        case Par(left, right):
-            return Par(plug_term(left, p), plug_term(right, p))
+        case Par():
+            # Post-order with an explicit stack: both sides, then their Par.
+            done: list[Process] = []
+            stack: list[tuple[Process, bool]] = [(c, False)]
+            while stack:
+                q, expanded = stack.pop()
+                if expanded:
+                    right = done.pop()
+                    done.append(Par(done.pop(), right))
+                elif isinstance(q, Par):
+                    stack += [(q, True), (q.right, False), (q.left, False)]
+                else:
+                    done.append(plug_term(q, p))
+            return done[0]
         case _:
             return c
 

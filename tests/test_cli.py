@@ -5,8 +5,9 @@ import sys
 import time
 
 from pitwo.cli import main
-from pitwo.congruence import congruent
-from pitwo.syntax import MAX_NESTING, from_json, parse, to_json
+from pitwo.congruence import alpha_key, congruent, term_size
+from pitwo.syntax import MAX_NESTING, Hole, Name, New, Par, alpha_eq, from_json, parse, to_json
+from pitwo.translate import count_holes, plug_term
 
 
 def run(capsys, *argv):
@@ -193,6 +194,14 @@ class TestErrors:
             assert capsys.readouterr().err == ""
         p = parse(wide)
         assert from_json(to_json(p)) is p
+        renamed = parse(wide.replace("b", "c"))
+        assert alpha_eq(New(Name("b"), p), New(Name("c"), renamed))
+        assert alpha_key(p) == alpha_key(parse(wide))
+        assert alpha_key(p) != alpha_key(renamed)
+        assert term_size(p) == 9999
+        c = Par(p, Hole())
+        assert count_holes(c) == 1
+        assert plug_term(c, p) is Par(p, p)
 
     def test_outputs_reparse_to_congruent_terms(self, capsys):
         code = main(["--json", "step", "(new x)(x?(v) => 0 | x!(a))"])

@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import congruence_class_terms, naive_canonical_form, process_st
+from pitwo import congruence
 from pitwo.congruence import (
+    _canonical_form,
     alpha_key,
     canonical_form,
     congruent,
@@ -63,8 +65,27 @@ class TestCanonicalForm:
     @settings(max_examples=200)
     @given(process_st())
     def test_idempotent(self, p):
-        c = canonical_form(p)
-        assert canonical_form(c) == c
+        # The uncached algorithm: canonical_form returns a recorded form as it is.
+        for gc in (False, True):
+            c = _canonical_form(p, gc)
+            assert _canonical_form(c, gc) == c
+
+    @pytest.mark.parametrize("gc", [False, True])
+    def test_recorded_form_skips_the_search(self, gc, monkeypatch):
+        canonical_form.cache_clear()
+        p = parse("(new x)(x!(a) | a?(y) => y!(x)) | 0")
+        c = canonical_form(p, gc)
+        assert c is not p
+        canonical_form.cache_clear()
+
+        def no_search(*args):
+            raise AssertionError("binder search on a canonical form")
+
+        with monkeypatch.context() as m:
+            m.setattr(congruence, "_skeleton", no_search)
+            assert canonical_form(c, gc) is c
+        assert canonical_form(p, gc) is c
+        assert p not in congruence._FIXED[gc]
 
     @settings(max_examples=200)
     @given(process_st())
@@ -185,7 +206,7 @@ class TestBinderSearchBudget:
     """Levels the every-order search takes seconds or more on.
 
     The budget is generous: on a 2-vCPU VM each took at most 0.1 s.  The
-    uncached function is timed, so an earlier call cannot make it pass.
+    uncached algorithm is timed, so an earlier call cannot make it pass.
     """
 
     PROBES = {
@@ -200,7 +221,7 @@ class TestBinderSearchBudget:
         p = parse(self.PROBES[name])
         for gc in (False, True):
             t0 = time.perf_counter()
-            c = canonical_form.__wrapped__(p, gc)
+            c = _canonical_form(p, gc)
             assert time.perf_counter() - t0 < 1.0
             assert canonical_form(c, gc) == c
 
