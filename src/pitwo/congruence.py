@@ -44,6 +44,7 @@ from .syntax import (
     Stop,
     free_names,
     fresh_name,
+    recompose,
     substitute,
 )
 
@@ -334,16 +335,7 @@ def _rebuild(skel: tuple, stack: list[Name], namer: _Namer) -> Process:
         _, k, comps = skel
         binders = [namer() for _ in range(k)]
         stack2 = stack + binders
-        parts = [_rebuild(c, stack2, namer) for c in comps]
-        if not parts:
-            core: Process = Stop()
-        else:
-            core = parts[0]
-            for part in parts[1:]:
-                core = Par(core, part)
-        for b in reversed(binders):
-            core = New(b, core)
-        return core
+        return recompose(binders, [_rebuild(c, stack2, namer) for c in comps])
     raise ValueError(f"bad skeleton tag: {tag!r}")
 
 

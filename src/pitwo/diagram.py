@@ -21,22 +21,20 @@ generators:
 Wire crossings are not represented, so diagrams equal modulo the symmetric
 monoidal equations are identical by construction.  ``normalize`` additionally
 quotients by the parallel-composition monoid laws, the copy/discard comonoid
-laws, the beta step (apply over thunk), the exchange law of captured wires
-(a thunk's captured inputs permute together with its body's captured domain
-ports), and always deletes closed name sources that end in a discard.
-``equal`` compares normal forms up to port-graph isomorphism, which is
-equality of their signatures.
+laws and the beta step (apply over thunk), and always deletes closed name
+sources that end in a discard.  ``equal`` compares normal forms up to
+port-graph isomorphism and the exchange law of captured wires (a thunk's
+captured inputs permute together with its body's captured domain ports),
+which is equality of their signatures.
 
 Normalization is one ordered pass over one copy: normalize each thunk body in
 place, fire each apply fed by a thunk, rebuild each maximal par tree as one
 node without stops and each maximal copy tree as one node without discards,
-then delete each name or fresh source that feeds a discard, and last put each
-thunk's captured inputs in an order read off the diagram (``_order_captures``).
-One pass is enough because no step makes work for an earlier one: a normal
-body holds no apply, so splicing it makes no beta redex; par and copy trees
-share no wire type; a deleted source-discard pair belongs to neither tree; and
-reordering captures only rewires ports.  Tree walks use an explicit stack,
-and a body the pass leaves alone keeps its colouring.
+then delete each name or fresh source that feeds a discard.  One pass is
+enough because no step makes work for an earlier one: a normal body holds no
+apply, so splicing it makes no beta redex; par and copy trees share no wire
+type; and a deleted source-discard pair belongs to neither tree.  Tree walks
+use an explicit stack, and a body the pass leaves alone keeps its colouring.
 
 Each diagram is coloured once.  ``_coloring`` refines canonical integer
 colours until the number of colour classes stops changing, folds every
@@ -47,12 +45,21 @@ remain, ``_least_leaf`` refines it to one by individualization-refinement
 (McKay and Piperno, "Practical graph isomorphism II", 2014).  ``signature``
 hashes the certificate of that labelling, so diagrams are isomorphic iff
 their signatures are equal, which is what ``isomorphic`` compares.
+
+The labelled graph inlines the body of each thunk with two or more captured
+inputs (``_graph``): the captured wires run from their producers straight to
+their consumers in the body, so their order never reaches the labelling and
+the exchange law holds by construction.  Any other thunk body is signed on
+its own and enters its node's colour as that signature, which stays valid
+while the body is unchanged; a thunk with at most one captured input has no
+order to forget.
 """
 
 from __future__ import annotations
 
 import functools
 import hashlib
+import itertools
 import json
 from dataclasses import dataclass
 from typing import Iterator, Sequence, Union
@@ -201,8 +208,10 @@ class Diagram:
     All public operations (compose, tensor, normalize, ...) copy their
     arguments; nothing mutates a diagram a caller still holds.  The colouring
     and signature are cached on the diagram; every mutator clears them, and
-    code that assigns ``dom``, ``cod`` or a node's ``inner`` directly must
-    call ``_invalidate``.
+    code that assigns ``dom``, ``cod`` or a node's ``inner`` directly, or
+    changes a thunk body in place, must call ``_invalidate``.  Two diagrams
+    that differ only in the order of a thunk's captured inputs, with its
+    body's captured domain ports permuted alike, are the same morphism.
     """
 
     def __init__(self) -> None:
@@ -214,12 +223,10 @@ class Diagram:
         self._src: dict[Port, Port] = {}
         self._colors: tuple[str, dict[int, int]] | None = None
         self._sig: str | None = None
-        self._blind: tuple | None = None
 
     def _invalidate(self) -> None:
         self._colors = None
         self._sig = None
-        self._blind = None
 
     # -- construction ------------------------------------------------------
 
@@ -320,7 +327,6 @@ class Diagram:
         d._src = dict(self._src)
         d._colors = self._colors
         d._sig = self._sig
-        d._blind = self._blind
         return d
 
     def validate(self) -> None:
@@ -605,124 +611,18 @@ def _drop_scalars(d: Diagram) -> None:
             _detach(d, cons[1])
 
 
-def _blind_class(d: Diagram, ncap: int, caps: dict[int, list[tuple]], port: Port) -> tuple:
-    """The port class of ``_blind_coloring``.
-
-    Captured domain ports are one class, and thunk input j is classed by its
-    body's blind end for j (``caps``).
-    """
-    side = port[0]
-    if side == "dom":
-        return (port[1],) if port[1] < len(d.dom) - ncap else (-1,)
-    if side == "cod":
-        return (port[1],)
-    kind = d.nodes[port[1]].kind
-    if (kind, side) in _UNORDERED:
-        return (-1,)
-    if kind == "thunk" and side == "in":
-        return (-2,) + caps[port[1]][port[2]]
-    return (port[2],)
-
-
-def _peer_key(port: Port) -> int:
-    side = port[0]
-    return _DOM if side == "dom" else _COD if side == "cod" else port[1]
-
-
-def _blind_coloring(d: Diagram, ncap: int) -> tuple:
-    """A colour refinement of d that no order of captured wires can change.
-
-    The last ``ncap`` domain ports of d are captured wires (see
-    ``_blind_class``), and a thunk is coloured by its body's blind digest.
-    Returns the digest, the colour per node (boundary keys included), the
-    blind (colour, class) end of each domain port's consumer, and the
-    thunk input classes.  Cached on d.
-    """
-    if d._blind is not None and d._blind[0] == ncap:
-        return d._blind[1]
-    caps: dict[int, list[tuple]] = {}
-    descs: dict[int, tuple] = {}
-    for nid, node in d.nodes.items():
-        digest = ""
-        if node.inner is not None:
-            digest, _, ends, _ = _blind_coloring(node.inner, node.cap)
-            caps[nid] = ends[node.arity:]
-        descs[nid] = (node.kind, node.arity, node.cap, node.label, digest)
-
-    def cls(port: Port) -> tuple:
-        return _blind_class(d, ncap, caps, port)
-
-    links = {
-        nid: ([(cls(p), _peer_key(d._src[p]), cls(d._src[p])) for p in d.in_ports(nid)],
-              [(cls(p), _peer_key(d._dst[p]), cls(d._dst[p])) for p in d.out_ports(nid)])
-        for nid in d.nodes
-    }
-    digest, colors = _refine(descs, links)
-    colors[_DOM], colors[_COD] = _DOM, _COD
-    ends = []
-    for k in range(len(d.dom)):
-        cons = d._dst[("dom", k)]
-        ends.append((colors[_peer_key(cons)], cls(cons)))
-    d._blind = (ncap, (digest, colors, ends, caps))
-    return d._blind[1]
-
-
-def _consumer_key(d: Diagram, port: Port) -> tuple:
-    """The generator and port class of a body's name wire consumer; thunk inputs are one class."""
-    node = d.nodes[port[1]]
-    return (node.kind, node.arity, -1 if node.kind == "thunk" else port[2])
-
-
-def _order_captures(d: Diagram, ncap: int) -> None:
-    """Put the captured inputs of each thunk in d in an order read off the diagram.
-
-    The exchange law: permuting a thunk's captured inputs together with its
-    body's captured domain ports leaves the morphism unchanged.  A captured
-    position is keyed by the port that consumes it in the body; if two keys
-    tie, by its blind end in the body; if two still tie, also by the blind
-    end of its producer in d (see ``_blind_coloring``).  Whether keys tie does
-    not depend on the order either, and equal keys keep their order.
-    """
-    thunks = sorted(nid for nid, node in d.nodes.items()
-                    if node.kind == "thunk" and node.cap >= 2)
-    outer = None
-    for t in thunks:
-        node = d.nodes[t]
-        body, n = node.inner, node.arity
-        prods = [d.producer(("in", t, j)) for j in range(node.cap)]
-        cons = [body.consumer(("dom", n + j)) for j in range(node.cap)]
-        keys: list = [_consumer_key(body, c) for c in cons]
-        if len(set(keys)) < node.cap:
-            keys = _blind_coloring(body, node.cap)[2][n:]
-        if len(set(keys)) < node.cap:
-            if outer is None:
-                outer = _blind_coloring(d, ncap)
-            _, colors, _, caps = outer
-            keys = [(k, colors[_peer_key(p)], _blind_class(d, ncap, caps, p))
-                    for k, p in zip(keys, prods)]
-        perm = sorted(range(node.cap), key=lambda j: (keys[j], j))
-        if perm == list(range(node.cap)):
-            continue
-        for j in range(node.cap):
-            d.disconnect(("in", t, j))
-            body.disconnect(cons[j])
-        for i, j in enumerate(perm):
-            d.connect(prods[j], ("in", t, i))
-            body.connect(("dom", n + i), cons[j])
-
-
-def _normalize_in_place(d: Diagram, ncap: int = 0) -> None:
+def _normalize_in_place(d: Diagram) -> None:
     for node in d.nodes.values():
         if node.inner is not None:
-            _normalize_in_place(node.inner, node.cap)
-            # a body is unsigned only if it changed or d was never coloured
+            _normalize_in_place(node.inner)
+            # a body is unsigned if it changed, if d was never coloured, or if
+            # d's graph inlines it, since an inlined body is never signed alone
             if node.inner._sig is None:
                 d._invalidate()
     _fire_betas(d)
     _flatten(d, "par", "stop")
     _flatten(d, "copy", "discard")
     _drop_scalars(d)
-    _order_captures(d, ncap)
 
 
 def normalize(d: Diagram) -> Diagram:
@@ -741,26 +641,58 @@ def normalize(d: Diagram) -> Diagram:
 
 # Peer keys of boundary ports; node ids and colours are >= 0.
 _DOM, _COD = -1, -2
-
-
-def _end(d: Diagram, port: Port) -> tuple[int, int]:
-    """A wire end as (node, port class) or (_DOM/_COD, position); unordered ports are -1."""
-    side = port[0]
-    if side == "dom":
-        return (_DOM, port[1])
-    if side == "cod":
-        return (_COD, port[1])
-    nid = port[1]
-    return (nid, -1 if (d.nodes[nid].kind, side) in _UNORDERED else port[2])
+# Port classes of an inlined body's links to its thunk: each body node's owner
+# link and the body's result; message parameter k has class -5 - k.
+_OWNER, _RESULT = -3, -4
 
 
 def _graph(d: Diagram) -> tuple[dict[int, tuple], dict[int, tuple[list, list]], list]:
-    """The round-0 descriptors and links that ``_refine`` takes, and each wire's ends."""
-    descs = {nid: (node.kind, node.arity, node.cap, node.label,
-                   signature(node.inner) if node.inner is not None else "")
-             for nid, node in d.nodes.items()}
-    links: dict[int, tuple[list, list]] = {nid: ([], []) for nid in d.nodes}
-    wires = [(_end(d, src), _end(d, dst)) for src, dst in d._dst.items()]
+    """The round-0 descriptors and links that ``_refine`` takes, and each wire's ends.
+
+    A wire end is (node key, port class) or (_DOM/_COD, position); unordered
+    ports are class -1.  A thunk with two or more captured inputs is inlined:
+    its body's nodes join the graph under fresh keys, each with an owner link
+    to the thunk, and the body's result and message parameters become links
+    to the thunk too.  Each captured wire runs from its producer outside the
+    thunk straight to its consumer in the body, so capture order is not in
+    the graph (the exchange law).  Any other thunk body enters its node's
+    descriptor as its signature.
+    """
+    descs: dict[int, tuple] = {}
+    wires: list = []
+    fresh = itertools.count(d._next)
+    # each level: a diagram, its node keys, the key of its thunk (None for d),
+    # and the end that feeds each of its domain ports (None for d)
+    levels: list = [(d, {nid: nid for nid in d.nodes}, None, None)]
+    for g, key, owner, feeds in levels:
+
+        def end(port: Port) -> tuple[int, int]:
+            side = port[0]
+            if side == "dom":
+                return (_DOM, port[1]) if feeds is None else feeds[port[1]]
+            if side == "cod":
+                return (_COD, port[1]) if owner is None else (owner, _RESULT)
+            nid = port[1]
+            return (key[nid], -1 if (g.nodes[nid].kind, side) in _UNORDERED else port[2])
+
+        inlined = set()
+        for nid, node in g.nodes.items():
+            k, body = key[nid], node.inner
+            if owner is not None:
+                wires.append(((k, _OWNER), (owner, _OWNER)))
+            if body is not None and node.cap >= 2:
+                inlined.add(nid)
+                descs[k] = (node.kind, node.arity, node.cap, node.label, "")
+                params = [(k, -5 - i) for i in range(node.arity)]
+                caps = [end(g._src[("in", nid, j)]) for j in range(node.cap)]
+                levels.append((body, {b: next(fresh) for b in body.nodes}, k, params + caps))
+            else:
+                descs[k] = (node.kind, node.arity, node.cap, node.label,
+                            signature(body) if body is not None else "")
+        # a wire into an inlined thunk is carried on by the body's level
+        wires += [(end(src), end(dst)) for src, dst in g._dst.items()
+                  if dst[0] != "in" or dst[1] not in inlined]
+    links: dict[int, tuple[list, list]] = {k: ([], []) for k in descs}
     for (sk, sc), (dk, dc) in wires:
         if sk >= 0:
             links[sk][1].append((sc, dk, dc))
@@ -789,12 +721,14 @@ def _coloring(d: Diagram) -> tuple[str, dict[int, int]]:
     """The stable colour refinement of d: (digest of all rounds, colour per node).
 
     Colours are canonical integers: isomorphic diagrams get the same digest
-    and corresponding nodes the same colour.  Cached on d.
+    and corresponding nodes the same colour.  Only d's own nodes are listed,
+    not the nodes of inlined bodies.  Cached on d.
     """
     if d._colors is None:
         descs, links, _ = _graph(d)
         d._colors = _refine(descs, links)
-    return d._colors
+    digest, colors = d._colors
+    return digest, {nid: colors[nid] for nid in d.nodes}
 
 
 def _refine(descs: dict[int, tuple], links: dict[int, tuple[list, list]]
@@ -908,8 +842,11 @@ def _least_leaf(descs: dict[int, tuple], links: dict[int, tuple[list, list]],
 def signature(d: Diagram) -> str:
     """A run-stable canonical hash, equal iff the diagrams are isomorphic; cached on d.
 
-    Hashes the interface and the certificate of ``_least_leaf``: where the
-    colouring has no ties, its digest and the wires between coloured ends.
+    Isomorphism is up to the exchange law: the graph of ``_graph`` inlines
+    each thunk body with two or more captured inputs, so the order of those
+    inputs is not hashed.  Hashes the interface and the certificate of
+    ``_least_leaf``: where the colouring has no ties, its digest and the wires
+    between coloured ends.
     """
     if d._sig is None:
         descs, links, wires = _graph(d)
@@ -923,12 +860,15 @@ def signature(d: Diagram) -> str:
 
 
 def isomorphic(a: Diagram, b: Diagram) -> bool:
-    """Interfaced port-graph isomorphism (expects normalized inputs): equal signatures."""
+    """Interfaced port-graph isomorphism up to the exchange law: equal signatures.
+
+    Expects normalized inputs.
+    """
     return signature(a) == signature(b)
 
 
 def equal(d1: Diagram, d2: Diagram) -> bool:
-    """Diagram equality: isomorphism of normal forms."""
+    """Diagram equality: isomorphism of normal forms, up to the exchange law."""
     return isomorphic(normalize(d1), normalize(d2))
 
 

@@ -25,7 +25,7 @@ from .bisim import barbs, partition_refine, reduction_union
 from .congruence import canonical_form, term_size
 from .opsem import reduce_step
 from .rewrite import _spine, comm_step, find_diagram_redexes, strip_permits, trace_subject
-from .syntax import Hole, Input, Name, New, Output, Par, Process, Stop, free_names, pretty
+from .syntax import Hole, Input, Name, New, Output, Par, Process, Stop, free_names, pretty, recompose
 from .translate import (
     DiagramContext,
     TopDiagram,
@@ -121,13 +121,7 @@ def _soups(spec: CorpusSpec, ins: int, outs: int, total: int, names: tuple[Name,
     # at most one component carries a non-trivial continuation, which keeps
     # desk corpora minutes-scale while still covering racing and name passing
     for combo in rec(0, ins, outs, total, width, 1):
-        if not combo:
-            yield Stop()
-        else:
-            term: Process = combo[0]
-            for c in combo[1:]:
-                term = Par(term, c)
-            yield term
+        yield recompose((), combo)
 
 
 def _level(spec: CorpusSpec, ins: int, outs: int, total: int, names: tuple[Name, ...], depth: int):

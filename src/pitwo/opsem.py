@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .congruence import CanonicalProcess, canonical_form
-from .syntax import Input, Name, New, Output, Par, Process, Stop, par_leaves, pretty, substitute
+from .syntax import Input, Name, New, Output, Process, Stop, par_leaves, pretty, recompose, substitute
 
 
 class StateBudgetError(RuntimeError):
@@ -45,17 +45,6 @@ def decompose(p: Process) -> tuple[tuple[Name, ...], tuple[Process, ...]]:
         binders.append(t.binder)
         t = t.body
     return tuple(binders), tuple(c for c in par_leaves(t) if not isinstance(c, Stop))
-
-
-def recompose(binders: tuple[Name, ...], comps: tuple[Process, ...]) -> Process:
-    core: Process = Stop()
-    if comps:
-        core = comps[0]
-        for c in comps[1:]:
-            core = Par(core, c)
-    for b in reversed(binders):
-        core = New(b, core)
-    return core
 
 
 def find_redexes(p: Process) -> list[Redex]:

@@ -17,7 +17,7 @@ import re
 import weakref
 from dataclasses import FrozenInstanceError, dataclass
 from functools import lru_cache, total_ordering
-from typing import Iterable, Mapping, Union
+from typing import Callable, Iterable, Mapping, Sequence, TypeVar, Union
 
 _NAME_RE = re.compile(r"[a-zA-Z][a-zA-Z0-9_]*\Z")
 _RESERVED = frozenset({"new"})
@@ -232,6 +232,7 @@ class Hole(_Term):
 
 
 Process = Union[Stop, Input, Output, New, Par, Hole]
+T = TypeVar("T")
 
 
 # ---------------------------------------------------------------------------
@@ -250,6 +251,36 @@ def par_leaves(p: Process) -> list[Process]:
         else:
             leaves.append(q)
     return leaves
+
+
+def fold_par(p: Process, leaf: Callable[[Process], T], join: Callable[[T, T], T]) -> T:
+    """Fold p's top parallel tree: ``leaf`` on each non-Par subterm, ``join`` on each Par.
+
+    Post-order with an explicit stack: leaves are visited left to right, and
+    each Par is joined after both of its sides.
+    """
+    done: list[T] = []
+    stack: list[tuple[Process, bool]] = [(p, False)]
+    while stack:
+        q, expanded = stack.pop()
+        if expanded:
+            right = done.pop()
+            done.append(join(done.pop(), right))
+        elif isinstance(q, Par):
+            stack += [(q, True), (q.right, False), (q.left, False)]
+        else:
+            done.append(leaf(q))
+    return done[0]
+
+
+def recompose(binders: Sequence[Name], comps: Sequence[Process]) -> Process:
+    """(new b1)...(new bk)(c1 | ... | cn), the parallel part nested to the left; 0 if n is 0."""
+    core: Process = comps[0] if comps else Stop()
+    for c in comps[1:]:
+        core = Par(core, c)
+    for b in reversed(binders):
+        core = New(b, core)
+    return core
 
 
 @lru_cache(maxsize=None)
@@ -349,19 +380,8 @@ def _subst(p: Process, m: dict[Name, Name]) -> Process:
         case Output(subject, args):
             return Output(m.get(subject, subject), tuple(m.get(a, a) for a in args))
         case Par():
-            # Post-order with an explicit stack: inner Par nodes do not filter m again.
-            done: list[Process] = []
-            stack: list[tuple[Process, bool]] = [(p, False)]
-            while stack:
-                q, expanded = stack.pop()
-                if expanded:
-                    right = done.pop()
-                    done.append(Par(done.pop(), right))
-                elif isinstance(q, Par):
-                    stack += [(q, True), (q.right, False), (q.left, False)]
-                else:
-                    done.append(_subst(q, m))
-            return done[0]
+            # inner Par nodes do not filter m again
+            return fold_par(p, lambda q: _subst(q, m), Par)
         case New(binder, body):
             inner = {k: v for k, v in m.items() if k != binder}
             if binder in inner.values():

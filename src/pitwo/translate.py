@@ -31,7 +31,7 @@ from .diagram import (
     normalize,
     signature,
 )
-from .syntax import Hole, Input, Name, New, Output, Par, Process, Stop
+from .syntax import Hole, Input, Name, New, Output, Par, Process, Stop, fold_par
 
 
 def _merge(into: dict[Name, list[Port]], extra: dict[Name, list[Port]]) -> None:
@@ -54,23 +54,16 @@ def _emit(p: Process, d: Diagram, hole_names: tuple[Name, ...] | None = None
                 _merge(demands, {a: [("in", nid, 1 + i)]})
             return ("out", nid, 0), demands
         case Par():
-            # Post-order with an explicit stack: both sides, then their par node.
-            done: list[tuple[Port, dict[Name, list[Port]]]] = []
-            stack: list[tuple[Process, bool]] = [(p, False)]
-            while stack:
-                q, expanded = stack.pop()
-                if expanded:
-                    (ro, rd), (lo, ld) = done.pop(), done.pop()
-                    nid = d.add("par", arity=2)
-                    d.connect(lo, ("in", nid, 0))
-                    d.connect(ro, ("in", nid, 1))
-                    _merge(ld, rd)
-                    done.append((("out", nid, 0), ld))
-                elif isinstance(q, Par):
-                    stack += [(q, True), (q.right, False), (q.left, False)]
-                else:
-                    done.append(_emit(q, d, hole_names))
-            return done[0]
+            # both sides, then their par node
+            def join(left, right):
+                (lo, ld), (ro, rd) = left, right
+                nid = d.add("par", arity=2)
+                d.connect(lo, ("in", nid, 0))
+                d.connect(ro, ("in", nid, 1))
+                _merge(ld, rd)
+                return ("out", nid, 0), ld
+
+            return fold_par(p, lambda q: _emit(q, d, hole_names), join)
         case New(binder, body):
             bo, bd = _emit(body, d, hole_names)
             nid = d.add("fresh")
@@ -216,19 +209,7 @@ def plug_term(c: Process, p: Process) -> Process:
         case New(binder, body):
             return New(binder, plug_term(body, p))
         case Par():
-            # Post-order with an explicit stack: both sides, then their Par.
-            done: list[Process] = []
-            stack: list[tuple[Process, bool]] = [(c, False)]
-            while stack:
-                q, expanded = stack.pop()
-                if expanded:
-                    right = done.pop()
-                    done.append(Par(done.pop(), right))
-                elif isinstance(q, Par):
-                    stack += [(q, True), (q.right, False), (q.left, False)]
-                else:
-                    done.append(plug_term(q, p))
-            return done[0]
+            return fold_par(c, lambda q: plug_term(q, p), Par)
         case _:
             return c
 

@@ -32,7 +32,7 @@ from pitwo.congruence import (
     canonical_form,
     term_size,
 )
-from pitwo.diagram import _UNORDERED, Diagram, _coloring
+from pitwo.diagram import _UNORDERED, Diagram, Node, _coloring
 from pitwo.syntax import (
     Input,
     Name,
@@ -94,6 +94,35 @@ def random_term(rng: random.Random, size: int, names=POOL) -> Process:
         return New(rng.choice(names), random_term(rng, size - 1, names))
     ls = rng.randint(1, size - 2)
     return Par(random_term(rng, ls, names), random_term(rng, size - 1 - ls, names))
+
+
+def rename_restrictions(p: Process, rng: random.Random) -> Process:
+    """An alpha-variant of p with each restriction binder renamed to a random unused name.
+
+    The new names sort anywhere among p's names, so a thunk's captured names,
+    which the translation orders by name, come in another order.
+    """
+    taken = {n.id for n in all_names(p)}
+
+    def fresh() -> Name:
+        while True:
+            cand = rng.choice("abcmuvxyz") + str(rng.randrange(100))
+            if cand not in taken:
+                taken.add(cand)
+                return Name(cand)
+
+    def go(q: Process) -> Process:
+        match q:
+            case New(binder, body):
+                nb = fresh()
+                return New(nb, go(substitute(body, {binder: nb})))
+            case Input(subject, params, body):
+                return Input(subject, params, go(body))
+            case Par(left, right):
+                return Par(go(left), go(right))
+        return q
+
+    return go(p)
 
 
 # ---------------------------------------------------------------------------
@@ -345,9 +374,12 @@ def gfp_relation(succ: list[list[int]], barb_sets: list, weak: bool = False) -> 
 
 # ---------------------------------------------------------------------------
 # Diagram isomorphism oracle: backtracking over node mappings within colour
-# classes, checking the wires once a mapping is complete.  It shares only the
-# stable colouring with the library, as a filter, and none of its
-# individualization search; exponential in the size of a colour class.
+# classes, checking the wires once a mapping is complete.  A thunk with two or
+# more captured inputs matches its partner under every permutation of those
+# inputs that makes the bodies isomorphic (the exchange law).  It shares only
+# the stable colouring with the library, as a filter, and none of its
+# individualization search; exponential in the size of a colour class and in
+# the captured inputs of a thunk.
 
 
 def _port_class(diagram: Diagram, port: tuple) -> int:
@@ -358,22 +390,41 @@ def _port_class(diagram: Diagram, port: tuple) -> int:
     return port[2]
 
 
-def _mapped_wires(d: Diagram, mapping: dict[int, int]) -> Counter:
+def _mapped_wires(d: Diagram, mapping: dict[int, int], perms: dict[int, tuple]) -> Counter:
+    """d's wires under a node mapping; thunk x's input j becomes input perms[x][j]."""
     def desc(port: tuple) -> tuple:
         if port[0] in ("dom", "cod"):
             return (port[0], port[1])
         side, nid, k = port
+        if side == "in" and nid in perms:
+            return (side, mapping[nid], perms[nid][k])
         return (side, mapping[nid], _port_class(d, port))
 
     return Counter((desc(src), desc(dst)) for src, dst in d._dst.items())
 
 
-def _identity_wires(d: Diagram) -> Counter:
-    return _mapped_wires(d, {nid: nid for nid in d.nodes})
+def _permute_captures(body: Diagram, arity: int, perm: tuple) -> Diagram:
+    """A copy of body whose captured domain port arity + j becomes arity + perm[j]."""
+    g = body.copy()
+    cons = [g.consumer(("dom", arity + j)) for j in range(len(perm))]
+    for c in cons:
+        g.disconnect(c)
+    for j, c in enumerate(cons):
+        g.connect(("dom", arity + perm[j]), c)
+    return g
+
+
+def _capture_orders(x: Node, y: Node) -> list[tuple]:
+    """Each order of thunk x's captured inputs under which its body is isomorphic to y's."""
+    return [perm for perm in permutations(range(x.cap))
+            if naive_isomorphic(_permute_captures(x.inner, x.arity, perm), y.inner)]
 
 
 def naive_isomorphic(a: Diagram, b: Diagram) -> bool:
-    """Exact interfaced port-graph isomorphism (expects normalized inputs)."""
+    """Exact interfaced port-graph isomorphism up to the exchange law.
+
+    Expects normalized inputs.
+    """
     if a.dom != b.dom or a.cod != b.cod:
         return False
     if len(a.nodes) != len(b.nodes) or len(a._dst) != len(b._dst):
@@ -387,33 +438,37 @@ def naive_isomorphic(a: Diagram, b: Diagram) -> bool:
     for nid, c in cb.items():
         by_color.setdefault(c, []).append(nid)
     a_order = sorted(a.nodes, key=lambda nid: (ca[nid], nid))
-    target = _identity_wires(b)
+    target = _mapped_wires(b, {nid: nid for nid in b.nodes}, {})
 
-    def compatible(x: int, y: int) -> bool:
+    def orders(x: int, y: int) -> list:
+        """The capture orders under which x may map to y; [None] for a node without a body."""
         na, nb = a.nodes[x], b.nodes[y]
         if (na.kind, na.arity, na.cap, na.label) != (nb.kind, nb.arity, nb.cap, nb.label):
-            return False
+            return []
         if (na.inner is None) != (nb.inner is None):
-            return False
-        if na.inner is not None and not naive_isomorphic(na.inner, nb.inner):
-            return False
-        return True
+            return []
+        return [None] if na.inner is None else _capture_orders(na, nb)
 
     mapping: dict[int, int] = {}
+    perms: dict[int, tuple] = {}
     used: set[int] = set()
 
     def assign(i: int) -> bool:
         if i == len(a_order):
-            return _mapped_wires(a, mapping) == target
+            return _mapped_wires(a, mapping, perms) == target
         x = a_order[i]
         for y in by_color.get(ca[x], []):
-            if y in used or not compatible(x, y):
+            if y in used:
                 continue
             mapping[x] = y
             used.add(y)
-            if assign(i + 1):
-                return True
+            for perm in orders(x, y):
+                if perm is not None:
+                    perms[x] = perm
+                if assign(i + 1):
+                    return True
             del mapping[x]
+            perms.pop(x, None)
             used.discard(y)
         return False
 

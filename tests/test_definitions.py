@@ -1,0 +1,31 @@
+"""Every definition in the package is used: a guard against helpers left behind."""
+
+import ast
+import re
+from collections import Counter
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _definitions(path: Path) -> list[str]:
+    """The module-level functions and classes of a file, and their methods other than dunders."""
+    names = []
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        if isinstance(node, ast.ClassDef):
+            names += [item.name for item in node.body
+                      if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                      and not (item.name.startswith("__") and item.name.endswith("__"))]
+    return names
+
+
+def test_every_definition_is_named_apart_from_its_definition():
+    texts = [path.read_text() for top in ("src", "tests", "bench")
+             for path in sorted((ROOT / top).rglob("*.py"))]
+    words = Counter(w for text in texts for w in re.findall(r"[A-Za-z_]\w*", text))
+    defined = Counter(m for text in texts for m in re.findall(r"\b(?:def|class)\s+(\w+)", text))
+    unused = [f"{path.name}: {name}" for path in sorted((ROOT / "src" / "pitwo").glob("*.py"))
+              for name in _definitions(path) if words[name] <= defined[name]]
+    assert unused == []

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import os
 import random
@@ -12,7 +13,7 @@ from hypothesis import given, settings
 
 import pitwo
 
-from conftest import naive_isomorphic, process_st
+from conftest import naive_isomorphic, process_st, rename_restrictions
 from pitwo import diagram as dg
 from pitwo.diagram import (
     Diagram,
@@ -36,7 +37,7 @@ from pitwo.diagram import (
     tensor_type,
 )
 from pitwo.rewrite import apply_comm, find_diagram_redexes
-from pitwo.syntax import Par, parse
+from pitwo.syntax import New, Par, free_names, parse
 from pitwo.translate import top_equal, translate, translate_top
 
 
@@ -482,10 +483,28 @@ class TestCanonicalLabelling:
         pool += [td.diagram for td in tops]
         pool += [apply_comm(td, r).diagram for td in tops[:3] for r in find_diagram_redexes(td)]
         rng = random.Random(seed)
+        # alpha-variants whose thunks capture their names in another order:
+        # with every free name restricted, each captured name is renamed
+        for t in (p, q):
+            closed = functools.reduce(lambda body, x: New(x, body), sorted(free_names(t)), t)
+            pool += [translate_top(u).diagram for u in (closed, rename_restrictions(closed, rng))]
         pool += [relabel(x, rng) for x in pool]
         for x in pool:
             for y in pool:
                 assert (signature(x) == signature(y)) == naive_isomorphic(x, y)
+
+    @pytest.mark.parametrize("left, right, same", [
+        ("(new p)(new q)(new r)(a?() => (p!(q) | q!(r) | r!(p)))",
+         "(new p)(new r)(new q)(a?() => (p!(r) | r!(q) | q!(p)))", True),
+        ("(new x)(new y)(y?() => x?(x) => (y!() | u!()))",
+         "(new m86)(new c60)(c60?() => m86?(x) => (c60!() | u!()))", True),
+        ("a?() => (p!(q) | q!(r) | r!(p))", "a?() => (p!(r) | r!(q) | q!(p))", False),
+    ])
+    def test_oracle_permutes_captured_wires(self, left, right, same):
+        # the translation captures names in name order, so each pair's thunks
+        # take their captured wires in different orders
+        x, y = (translate_top(parse(t)).diagram for t in (left, right))
+        assert naive_isomorphic(x, y) == same
 
     @pytest.mark.parametrize("n", [5, 6, 8, 12])
     def test_cycle_probe_answers_quickly(self, n):

@@ -1,6 +1,7 @@
+import hypothesis.strategies as st
 from hypothesis import given, settings
 
-from conftest import congruence_class_terms, process_st
+from conftest import congruence_class_terms, name_st, process_st, rename_restrictions
 from pitwo.congruence import canonical_form, congruent
 from pitwo.diagram import N, compose, equal, generator, normalize, signature, tensor
 from pitwo.syntax import Hole, Input, Name, New, Output, Par, free_names, parse, pretty
@@ -147,6 +148,41 @@ class TestAlphaEquivalence:
         # reordering captured inputs moves the body's ports with them
         assert not top_equal(translate_top(parse("a?() => u!(x)")),
                              translate_top(parse("a?() => x!(u)")))
+
+    def test_cyclic_body_is_equal_under_swapped_binders(self):
+        # the body's symmetry group rotates p, q and r; only the wiring of the
+        # captured wires to their fresh sources tells the orders apart
+        p = parse("(new p)(new q)(new r)(a?() => (p!(q) | q!(r) | r!(p)))")
+        q = parse("(new p)(new r)(new q)(a?() => (p!(r) | r!(q) | q!(p)))")
+        assert congruent(p, q)
+        assert top_equal(translate_top(p), translate_top(q))
+
+    def test_nested_thunks_are_equal_under_renamed_binders(self):
+        # renaming x and y to m86 and c60 swaps the order of the outer thunk's
+        # captured wires, and the inner thunk captures one of them
+        p = parse("(new x)(new y)(y?() => x?(x) => (y!() | u!()))")
+        q = parse("(new m86)(new c60)(c60?() => m86?(x) => (c60!() | u!()))")
+        assert congruent(p, q)
+        assert top_equal(translate_top(p), translate_top(q))
+
+    def test_cyclic_body_over_free_names_keeps_its_orientation(self):
+        # free names are wired to their own constants, so the reversed cycle differs
+        p = parse("a?() => (p!(q) | q!(r) | r!(p))")
+        q = parse("a?() => (p!(r) | r!(q) | q!(p))")
+        assert not congruent(p, q)
+        assert not top_equal(translate_top(p), translate_top(q))
+
+    @settings(max_examples=150, deadline=None)
+    @given(process_st(max_leaves=6), st.lists(name_st(), max_size=3),
+           st.randoms(use_true_random=False))
+    def test_renamed_restrictions_keep_the_top_diagram(self, p, bound, rng):
+        # restricting some of p's names makes more captured names renamable
+        for b in bound:
+            p = New(b, p)
+        for _ in range(3):
+            q = rename_restrictions(p, rng)
+            assert congruent(p, q)
+            assert top_equal(translate_top(p), translate_top(q)), (pretty(p), pretty(q))
 
 
 class TestContexts:
