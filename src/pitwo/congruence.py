@@ -42,6 +42,8 @@ from .syntax import (
     Par,
     Process,
     Stop,
+    _alpha,
+    _sref,
     free_names,
     fresh_name,
     recompose,
@@ -90,44 +92,6 @@ CanonicalProcess = Process
 # swaps are not pruned.  Both hold for the components a?(y) => xi!(y) and
 # xi!(x(3i mod k)) over k binders: k = 8 takes a tenth of a second, k = 10
 # more than half a minute.
-
-# Environments are keyed by name id: a string hashes in C, a Name through a
-# Python-level __hash__.
-
-
-def _sref(n: Name, env: dict[str, tuple]) -> tuple:
-    return env.get(n.id) or ("f", n.id)
-
-
-def _alpha(p: Process, env: dict[str, tuple], d: int) -> tuple:
-    """p's alpha-invariant shape; ``env`` gives the refs of the bound names in scope."""
-    match p:
-        case Stop():
-            return ("0",)
-        case Output(subject, args):
-            return ("!", _sref(subject, env), tuple(_sref(a, env) for a in args))
-        case Input(subject, params, body):
-            env2 = {**env, **{y.id: ("b", d + i) for i, y in enumerate(params)}}
-            return ("?", _sref(subject, env), len(params), _alpha(body, env2, d + len(params)))
-        case New(binder, body):
-            return ("nu", _alpha(body, {**env, binder.id: ("b", d)}, d + 1))
-        case Par():
-            # The parallel tree in postfix order, ("|",) after both sides: a
-            # flat tuple, so neither this walk nor a comparison of keys
-            # recurses.  Every item is a tuple, so shapes stay comparable.
-            shape: list = ["|"]
-            stack: list = [p]
-            while stack:
-                q = stack.pop()
-                if q is None:
-                    shape.append(("|",))
-                elif isinstance(q, Par):
-                    stack += [None, q.right, q.left]
-                else:
-                    shape.append(_alpha(q, env, d))
-            return tuple(shape)
-    raise TypeError(f"not a process: {p!r}")
-
 
 def _component_skeleton(c: Process, env: dict[str, tuple], depth: int, gc: bool,
                         levels: dict[int, tuple]) -> tuple:

@@ -27,24 +27,29 @@ port-graph isomorphism and the exchange law of captured wires (a thunk's
 captured inputs permute together with its body's captured domain ports),
 which is equality of their signatures.
 
-Normalization is one ordered pass over one copy: normalize each thunk body in
-place, fire each apply fed by a thunk, rebuild each maximal par tree as one
-node without stops and each maximal copy tree as one node without discards,
-then delete each name or fresh source that feeds a discard.  One pass is
-enough because no step makes work for an earlier one: a normal body holds no
-apply, so splicing it makes no beta redex; par and copy trees share no wire
-type; and a deleted source-discard pair belongs to neither tree.  Tree walks
-use an explicit stack, and a body the pass leaves alone keeps its colouring.
+Nodes are immutable values, and a thunk body, once boxed, is never changed:
+copies of a diagram share their nodes and bodies, so every copy is shallow.
+Code that needs a changed body builds it on a copy and replaces the node.
 
-Each diagram is coloured once.  ``_coloring`` refines canonical integer
-colours until the number of colour classes stops changing, folds every
-round's table into one digest, and caches the result on the diagram; every
-mutator clears that cache.  The colouring gives the node ids of ``to_json``
-and ``to_dot``.  Where it has no ties it is a canonical labelling; where ties
+Normalization is one ordered pass over one copy: replace each thunk body by
+its normal form, fire each apply fed by a thunk, rebuild each maximal par
+tree as one node without stops and each maximal copy tree as one node without
+discards, then delete each name or fresh source that feeds a discard.  One
+pass is enough because no step makes work for an earlier one: a normal body
+holds no apply, so splicing it makes no beta redex; par and copy trees share
+no wire type; and a deleted source-discard pair belongs to neither tree.
+Tree walks use an explicit stack, and a body the pass leaves alone keeps its
+signature.
+
+``_refine`` colours a diagram with canonical integers until the number of
+colour classes stops changing, folding every round's table into one digest;
+``_coloring`` gives the node ids of ``to_json`` and ``to_dot`` from it.
+Where the colouring has no ties it is a canonical labelling; where ties
 remain, ``_least_leaf`` refines it to one by individualization-refinement
 (McKay and Piperno, "Practical graph isomorphism II", 2014).  ``signature``
-hashes the certificate of that labelling, so diagrams are isomorphic iff
-their signatures are equal, which is what ``isomorphic`` compares.
+hashes the certificate of that labelling and is the one result cached on a
+diagram (every mutator clears it), so diagrams are isomorphic iff their
+signatures are equal, which is what ``isomorphic`` compares.
 
 The labelled graph inlines the body of each thunk with two or more captured
 inputs (``_graph``): the captured wires run from their producers straight to
@@ -62,11 +67,11 @@ import hashlib
 import itertools
 import json
 from dataclasses import dataclass
-from typing import Iterator, Sequence, Union
+from typing import Iterator, NamedTuple, Sequence, Union
 
 
 # ---------------------------------------------------------------------------
-# Object expressions
+# Wire types
 
 
 @dataclass(frozen=True)
@@ -91,50 +96,10 @@ class HomT:
         return f"N^{self.arity}-oP"
 
 
-@dataclass(frozen=True)
-class UnitT:
-    def __str__(self) -> str:
-        return "I"
-
-
-@dataclass(frozen=True)
-class TensorT:
-    items: tuple["ObjectExpr", ...]
-
-    def __str__(self) -> str:
-        return "(" + " . ".join(str(i) for i in self.items) + ")"
-
-
 WireType = Union[NameT, ProcT, HomT]
-ObjectExpr = Union[NameT, ProcT, HomT, UnitT, TensorT]
 
 N = NameT()
 P = ProcT()
-I = UnitT()
-
-
-def tensor_type(*items: ObjectExpr) -> ObjectExpr:
-    """Flatten a tensor of object expressions, dropping units."""
-    flat: list[WireType] = []
-    for it in items:
-        flat.extend(interface_of(it))
-    if not flat:
-        return I
-    if len(flat) == 1:
-        return flat[0]
-    return TensorT(tuple(flat))
-
-
-def interface_of(obj: ObjectExpr) -> tuple[WireType, ...]:
-    """The ordered atomic wire types of an object expression."""
-    if isinstance(obj, UnitT):
-        return ()
-    if isinstance(obj, TensorT):
-        out: list[WireType] = []
-        for it in obj.items:
-            out.extend(interface_of(it))
-        return tuple(out)
-    return (obj,)
 
 
 # ---------------------------------------------------------------------------
@@ -179,8 +144,14 @@ def _port_table(k: str, n: int, cap: int) -> tuple[tuple[WireType, ...], tuple[W
     raise DiagramError(f"unknown generator kind: {k!r}")
 
 
-@dataclass
-class Node:
+class Node(NamedTuple):
+    """A generator node, an immutable value; a thunk's body is ``inner``.
+
+    Copies of a diagram share its nodes, and through them the bodies, so a
+    body is never changed once it is in a node: to change one, build a new
+    body and replace the node (``node._replace(inner=body)``).
+    """
+
     kind: str
     arity: int = 0
     cap: int = 0
@@ -189,10 +160,6 @@ class Node:
 
     def ports(self) -> tuple[tuple[WireType, ...], tuple[WireType, ...]]:
         return _port_table(self.kind, self.arity, self.cap)
-
-    def clone(self) -> "Node":
-        return Node(self.kind, self.arity, self.cap, self.label,
-                    self.inner.copy() if self.inner is not None else None)
 
 
 # Port groups whose order is quotiented away (commutative par, cocommutative
@@ -206,12 +173,14 @@ class Diagram:
     """A mutable builder treated as immutable once handed out.
 
     All public operations (compose, tensor, normalize, ...) copy their
-    arguments; nothing mutates a diagram a caller still holds.  The colouring
-    and signature are cached on the diagram; every mutator clears them, and
-    code that assigns ``dom``, ``cod`` or a node's ``inner`` directly, or
-    changes a thunk body in place, must call ``_invalidate``.  Two diagrams
-    that differ only in the order of a thunk's captured inputs, with its
-    body's captured domain ports permuted alike, are the same morphism.
+    arguments; nothing mutates a diagram a caller still holds.  A copy is
+    shallow: it has its own node table, wires and interface, and shares the
+    immutable nodes and thunk bodies.  The signature is cached on the
+    diagram in ``_sig``; every mutator clears it, and code that assigns
+    ``dom``, ``cod`` or an entry of ``nodes`` directly must clear it too.
+    Two diagrams that differ only in the order of a thunk's captured inputs,
+    with its body's captured domain ports permuted alike, are the same
+    morphism.
     """
 
     def __init__(self) -> None:
@@ -221,30 +190,26 @@ class Diagram:
         self._next = 0
         self._dst: dict[Port, Port] = {}
         self._src: dict[Port, Port] = {}
-        self._colors: tuple[str, dict[int, int]] | None = None
         self._sig: str | None = None
-
-    def _invalidate(self) -> None:
-        self._colors = None
-        self._sig = None
 
     # -- construction ------------------------------------------------------
 
     def add(self, kind: str, arity: int = 0, cap: int = 0, label: str = "",
             inner: "Diagram | None" = None) -> int:
-        self._invalidate()
+        self._sig = None
         nid = self._next
         self._next += 1
-        self.nodes[nid] = Node(kind, arity, cap, label, inner)
+        # _make skips the __init__ step of calling the class: a third cheaper
+        self.nodes[nid] = Node._make((kind, arity, cap, label, inner))
         return nid
 
     def add_dom(self, t: WireType) -> Port:
-        self._invalidate()
+        self._sig = None
         self.dom.append(t)
         return ("dom", len(self.dom) - 1)
 
     def add_cod(self, t: WireType) -> Port:
-        self._invalidate()
+        self._sig = None
         self.cod.append(t)
         return ("cod", len(self.cod) - 1)
 
@@ -275,19 +240,19 @@ class Diagram:
             dt = _port_table(node.kind, node.arity, node.cap)[0][dst[2]]
         if st != dt:
             raise InterfaceError(f"type mismatch on wire {src}:{st} -> {dst}:{dt}")
-        self._invalidate()
+        self._sig = None
         self._dst[src] = dst
         self._src[dst] = src
 
     def disconnect(self, dst: Port) -> Port:
         """Remove the wire into consumer port dst; returns its producer."""
-        self._invalidate()
+        self._sig = None
         src = self._src.pop(dst)
         del self._dst[src]
         return src
 
     def remove(self, nid: int) -> None:
-        self._invalidate()
+        self._sig = None
         node = self.nodes.pop(nid)
         ins, outs = node.ports()
         for k in range(len(ins)):
@@ -319,13 +284,12 @@ class Diagram:
 
     def copy(self) -> "Diagram":
         d = Diagram()
-        d.nodes = {nid: node.clone() for nid, node in self.nodes.items()}
+        d.nodes = dict(self.nodes)
         d.dom = list(self.dom)
         d.cod = list(self.cod)
         d._next = self._next
         d._dst = dict(self._dst)
         d._src = dict(self._src)
-        d._colors = self._colors
         d._sig = self._sig
         return d
 
@@ -430,11 +394,10 @@ def generator(kind: str, arity: int = 0, cap: int = 0, label: str = "",
 
 
 def _splice(d: Diagram, sub: Diagram, dom_prods: list[Port], cod_cons: list[Port]) -> None:
-    """Inline a copy of sub into d, gluing its boundary to the given ports."""
+    """Inline sub's nodes into d, gluing its boundary to the given ports; bodies are shared."""
     mapping: dict[int, int] = {}
     for nid, node in sorted(sub.nodes.items()):
-        mapping[nid] = d.add(node.kind, node.arity, node.cap, node.label,
-                             node.inner.copy() if node.inner is not None else None)
+        mapping[nid] = d.add(*node)
 
     def msrc(p: Port) -> Port:
         if p[0] == "dom":
@@ -457,7 +420,7 @@ def compose(f: Diagram, g: Diagram) -> Diagram:
     h = f.copy()
     mid_prods = [h.disconnect(("cod", k)) for k in range(len(h.cod))]
     h.cod = []
-    h._invalidate()
+    h._sig = None
     cod_cons = [h.add_cod(t) for t in g.cod]
     # keep the freshly added cod ports as consumer targets
     cod_ports = [("cod", k) for k in range(len(g.cod))]
@@ -612,13 +575,17 @@ def _drop_scalars(d: Diagram) -> None:
 
 
 def _normalize_in_place(d: Diagram) -> None:
-    for node in d.nodes.values():
+    for nid, node in d.nodes.items():
         if node.inner is not None:
-            _normalize_in_place(node.inner)
-            # a body is unsigned if it changed, if d was never coloured, or if
+            # bodies are shared with other diagrams: normalize a copy and
+            # replace the node (same key, so the iteration is undisturbed)
+            body = node.inner.copy()
+            _normalize_in_place(body)
+            d.nodes[nid] = node._replace(inner=body)
+            # a body is unsigned if it changed, if d was never signed, or if
             # d's graph inlines it, since an inlined body is never signed alone
-            if node.inner._sig is None:
-                d._invalidate()
+            if body._sig is None:
+                d._sig = None
     _fire_betas(d)
     _flatten(d, "par", "stop")
     _flatten(d, "copy", "discard")
@@ -722,12 +689,10 @@ def _coloring(d: Diagram) -> tuple[str, dict[int, int]]:
 
     Colours are canonical integers: isomorphic diagrams get the same digest
     and corresponding nodes the same colour.  Only d's own nodes are listed,
-    not the nodes of inlined bodies.  Cached on d.
+    not the nodes of inlined bodies.
     """
-    if d._colors is None:
-        descs, links, _ = _graph(d)
-        d._colors = _refine(descs, links)
-    digest, colors = d._colors
+    descs, links, _ = _graph(d)
+    digest, colors = _refine(descs, links)
     return digest, {nid: colors[nid] for nid in d.nodes}
 
 
@@ -850,9 +815,7 @@ def signature(d: Diagram) -> str:
     """
     if d._sig is None:
         descs, links, wires = _graph(d)
-        if d._colors is None:
-            d._colors = _refine(descs, links)
-        digest, table = _least_leaf(descs, links, wires, d._colors)
+        digest, table = _least_leaf(descs, links, wires, _refine(descs, links))
         # a wire's type follows from its ends: the node colours and the interface
         payload = (tuple(str(t) for t in d.dom), tuple(str(t) for t in d.cod), digest, table)
         d._sig = hashlib.sha256(repr(payload).encode()).hexdigest()

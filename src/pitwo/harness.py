@@ -295,7 +295,7 @@ class DiagramLTS:
                 targets = sorted({self.intern(t) for t in comm_step(self.classes[i])})
                 self.succ[i] = targets
                 nxt.extend(j for j in targets if self.succ[j] is None)
-            frontier = [i for i, s in enumerate(self.succ) if s is None]
+            frontier = nxt
 
     def refine(self) -> list[int]:
         self.close()

@@ -326,38 +326,49 @@ def fresh_name(avoid: Iterable[Name]) -> Name:
     return Name(f"n{i}")
 
 
+# Environments are keyed by name id: a string hashes in C, a Name through a
+# Python-level __hash__.
+
+
+def _sref(n: Name, env: dict[str, tuple]) -> tuple:
+    return env.get(n.id) or ("f", n.id)
+
+
+def _alpha(p: Process, env: dict[str, tuple], d: int) -> tuple:
+    """p's alpha-invariant shape; ``env`` gives the refs of the bound names in scope."""
+    match p:
+        case Stop():
+            return ("0",)
+        case Output(subject, args):
+            return ("!", _sref(subject, env), tuple(_sref(a, env) for a in args))
+        case Input(subject, params, body):
+            env2 = {**env, **{y.id: ("b", d + i) for i, y in enumerate(params)}}
+            return ("?", _sref(subject, env), len(params), _alpha(body, env2, d + len(params)))
+        case New(binder, body):
+            return ("nu", _alpha(body, {**env, binder.id: ("b", d)}, d + 1))
+        case Par():
+            # The parallel tree in postfix order, ("|",) after both sides: a
+            # flat tuple, so neither this walk nor a comparison of keys
+            # recurses.  Every item is a tuple, so shapes stay comparable.
+            shape: list = ["|"]
+            stack: list = [p]
+            while stack:
+                q = stack.pop()
+                if q is None:
+                    shape.append(("|",))
+                elif isinstance(q, Par):
+                    stack += [None, q.right, q.left]
+                else:
+                    shape.append(_alpha(q, env, d))
+            return tuple(shape)
+        case Hole():
+            return ("[]",)
+    raise TypeError(f"not a process: {p!r}")
+
+
 def alpha_eq(p: Process, q: Process) -> bool:
     """True iff p and q are equal up to consistent renaming of bound names."""
-
-    def ref(a: Name, b: Name, ea: dict[Name, int], eb: dict[Name, int]) -> bool:
-        if a in ea or b in eb:
-            return ea.get(a) == eb.get(b)
-        return a == b
-
-    # Pairs of subterms still to compare, each with its environments and depth.
-    stack: list[tuple[Process, Process, dict[Name, int], dict[Name, int], int]] = [(p, q, {}, {}, 0)]
-    while stack:
-        p, q, ea, eb, d = stack.pop()
-        match p, q:
-            case (Stop(), Stop()) | (Hole(), Hole()):
-                pass
-            case Output(s1, a1), Output(s2, a2):
-                if len(a1) != len(a2) or not ref(s1, s2, ea, eb) or not all(
-                        ref(x, y, ea, eb) for x, y in zip(a1, a2)):
-                    return False
-            case Input(s1, y1, b1), Input(s2, y2, b2):
-                if len(y1) != len(y2) or not ref(s1, s2, ea, eb):
-                    return False
-                ea2 = {**ea, **{y: d + i for i, y in enumerate(y1)}}
-                eb2 = {**eb, **{y: d + i for i, y in enumerate(y2)}}
-                stack.append((b1, b2, ea2, eb2, d + len(y1)))
-            case New(x1, b1), New(x2, b2):
-                stack.append((b1, b2, {**ea, x1: d}, {**eb, x2: d}, d + 1))
-            case Par(l1, r1), Par(l2, r2):
-                stack += [(r1, r2, ea, eb, d), (l1, l2, ea, eb, d)]
-            case _:
-                return False
-    return True
+    return _alpha(p, {}, 0) == _alpha(q, {}, 0)
 
 
 def substitute(p: Process, subst: Mapping[Name, Name]) -> Process:

@@ -167,7 +167,7 @@ def seal(d: Diagram, names: tuple[Name, ...], catalysts: int = 1,
             d.disconnect(cons)
             d.connect(("out", d.add("name", label=name.id), 0), cons)
         d.dom = []
-        d._invalidate()
+        d._sig = None
     return TopDiagram(normalize(d), names, catalysts)
 
 
@@ -235,7 +235,12 @@ def translate_context(c: Process, plug_names: tuple[Name, ...]) -> DiagramContex
     return DiagramContext(d, plug_names, dom_names)
 
 
-def _plug_into(d: Diagram, f: Diagram) -> bool:
+def _plugged(d: Diagram, f: Diagram) -> Diagram | None:
+    """A copy of d with f spliced into its hole, or None if d has no hole.
+
+    Thunk bodies are shared values, so a hole inside one is plugged in a copy
+    of each body on the path to it, and each such thunk node is replaced.
+    """
     for nid in sorted(d.nodes):
         node = d.nodes[nid]
         if node.kind != "hole":
@@ -245,23 +250,26 @@ def _plug_into(d: Diagram, f: Diagram) -> bool:
             raise InterfaceError(
                 f"plug interface mismatch: hole wants N^{k} -> P, got {f!r}"
             )
-        prods = [d.producer(("in", nid, j)) for j in range(k)]
-        out_cons = d.consumer(("out", nid, 0))
-        _detach(d, nid)
-        _splice(d, f, prods, [out_cons])
-        return True
+        h = d.copy()
+        prods = [h.producer(("in", nid, j)) for j in range(k)]
+        out_cons = h.consumer(("out", nid, 0))
+        _detach(h, nid)
+        _splice(h, f, prods, [out_cons])
+        return h
     for nid in sorted(d.nodes):
         node = d.nodes[nid]
-        if node.inner is not None and _plug_into(node.inner, f):
-            # the inner diagram changed in place, so d's colouring is stale
-            d._invalidate()
-            return True
-    return False
+        body = _plugged(node.inner, f) if node.inner is not None else None
+        if body is not None:
+            h = d.copy()
+            h.nodes[nid] = node._replace(inner=body)
+            h._sig = None
+            return h
+    return None
 
 
 def plug_diagram(ctx: DiagramContext, f: Diagram) -> Diagram:
     """Apply the context functor to a diagram: splice f into the hole."""
-    d = ctx.diagram.copy()
-    if not _plug_into(d, f):
+    d = _plugged(ctx.diagram, f)
+    if d is None:
         raise ValueError("context diagram has no hole")
     return d

@@ -29,3 +29,23 @@ def test_every_definition_is_named_apart_from_its_definition():
     unused = [f"{path.name}: {name}" for path in sorted((ROOT / "src" / "pitwo").glob("*.py"))
               for name in _definitions(path) if words[name] <= defined[name]]
     assert unused == []
+
+
+def _unused_imports(path: Path) -> list[str]:
+    """The names a module imports and never reads, apart from ``from __future__`` imports."""
+    tree = ast.parse(path.read_text())
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [alias.asname or alias.name.split(".")[0] for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported += [alias.asname or alias.name for alias in node.names]
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [name for name in imported if name not in read]
+
+
+def test_every_import_is_used():
+    # the package's __init__ imports names only to re-export them
+    unused = [f"{path.name}: {name}" for path in sorted((ROOT / "src" / "pitwo").glob("*.py"))
+              if path.name != "__init__.py" for name in _unused_imports(path)]
+    assert unused == []

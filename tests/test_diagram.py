@@ -29,14 +29,19 @@ from pitwo.diagram import (
     equal,
     generator,
     identity,
-    interface_of,
     normalize,
     permutation,
     signature,
     tensor,
-    tensor_type,
 )
-from pitwo.rewrite import apply_comm, find_diagram_redexes
+from pitwo.rewrite import (
+    apply_comm,
+    apply_concurrent,
+    comm_step,
+    concurrent_step,
+    find_diagram_redexes,
+    strip_permits,
+)
 from pitwo.syntax import New, Par, free_names, parse
 from pitwo.translate import top_equal, translate, translate_top
 
@@ -44,19 +49,6 @@ from pitwo.translate import top_equal, translate, translate_top
 def closed_proc(label: str) -> Diagram:
     """A distinguishable closed process diagram: send on a name constant."""
     return compose(generator("name", label=label), generator("send", arity=0))
-
-
-class TestObjects:
-    def test_tensor_flattens(self):
-        t = tensor_type(N, tensor_type(N, P), dg.I)
-        assert interface_of(t) == (N, N, P)
-
-    def test_unit_identity(self):
-        assert tensor_type() == dg.I
-        assert interface_of(dg.I) == ()
-
-    def test_hom_is_atomic(self):
-        assert interface_of(HomT(2)) == (HomT(2),)
 
 
 class TestCompose:
@@ -301,6 +293,76 @@ class TestEqual:
     @given(process_st(max_leaves=4), process_st(max_leaves=4))
     def test_symmetric(self, p, q):
         assert equal(translate(p), translate(q)) == equal(translate(q), translate(p))
+
+
+# Thunk bodies, two deep, that normalization changes: each holds a stop in a par tree.
+NESTED = "a?(x) => (x!() | 0 | b?() => (x!() | 0))"
+BODY = "x!() | 0 | b?() => (x!() | 0)"
+# Two redexes on distinct subjects, whose reducts splice bodies with thunks in them.
+TWO_REDEXES = "a?(x) => (x!() | b?() => x!()) | a!(c) | d?() => (b!() | c?() => 0) | d!()"
+
+
+def _open(src: str) -> Diagram:
+    return translate(parse(src))
+
+
+def _top(catalysts: int = 1):
+    return translate_top(parse(TWO_REDEXES), catalysts)
+
+
+# name -> (a function building fresh inputs, the call made on them)
+ALIASING_CALLS = {
+    "normalize": (lambda: (_open(NESTED),), normalize),
+    "equal": (lambda: (_open(NESTED), _open(BODY)), equal),
+    "compose": (lambda: (tensor(generator("name", label="u"), generator("name", label="v")),
+                         _open(NESTED)),
+                lambda f, g: normalize(compose(f, g))),
+    "tensor": (lambda: (_open(NESTED), _open(BODY)), lambda f, g: normalize(tensor(f, g))),
+    "curry": (lambda: (_open(BODY),), lambda body: normalize(curry(1, body))),
+    "apply_ev": (lambda: (curry(1, _open(BODY)), generator("name", label="u")),
+                 lambda thunk, arg: normalize(apply_ev(thunk, arg))),
+    "apply_comm": (lambda: (_top(),), lambda td: apply_comm(td, find_diagram_redexes(td)[0])),
+    "comm_step": (lambda: (_top(),), comm_step),
+    "strip_permits": (lambda: (_top(),), strip_permits),
+    "apply_concurrent": (lambda: (_top(2),), lambda td: apply_concurrent(td, concurrent_step(td)[0])),
+}
+
+
+def _image(x) -> tuple[str, str]:
+    d = getattr(x, "diagram", x)
+    return dg.dumps(d), signature(d)
+
+
+class TestAliasing:
+    """Copies share nodes and thunk bodies, so no operation may change a diagram it is given."""
+
+    @pytest.mark.parametrize("name", sorted(ALIASING_CALLS))
+    def test_inputs_unchanged(self, name):
+        make, call = ALIASING_CALLS[name]
+        inputs = make()
+        expected = [_image(x) for x in make()]
+        call(*inputs)
+        assert [_image(x) for x in inputs] == expected
+
+    def test_normalize_changes_the_bodies(self):
+        # the inputs above are only a check if their bodies are not normal
+        d = _open(NESTED)
+        (t,) = [nid for nid, node in d.nodes.items() if node.inner is not None]
+        assert dg.dumps(normalize(d).nodes[t].inner) != dg.dumps(d.nodes[t].inner)
+
+    def test_two_concurrent_redexes(self):
+        assert len(concurrent_step(_top(2))[0]) == 2
+
+    def test_copy_shares_bodies(self):
+        d = _open(NESTED)
+        c = d.copy()
+        assert all(c.nodes[nid].inner is node.inner for nid, node in d.nodes.items())
+        assert c.nodes is not d.nodes and c._dst is not d._dst and c.dom is not d.dom
+
+    def test_nodes_are_immutable(self):
+        node = generator("stop").nodes[0]
+        with pytest.raises(AttributeError):
+            node.kind = "comm"
 
 
 class TestValidation:

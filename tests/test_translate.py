@@ -3,7 +3,7 @@ from hypothesis import given, settings
 
 from conftest import congruence_class_terms, name_st, process_st, rename_restrictions
 from pitwo.congruence import canonical_form, congruent
-from pitwo.diagram import N, compose, equal, generator, normalize, signature, tensor
+from pitwo.diagram import N, compose, dumps, equal, generator, normalize, signature, tensor
 from pitwo.syntax import Hole, Input, Name, New, Output, Par, free_names, parse, pretty
 from pitwo.translate import (
     count_holes,
@@ -232,6 +232,20 @@ class TestContexts:
         assert signature(plugged) == signature(fresh)
         assert signature(plugged) != before
         assert equal(plugged, translate(plug_term(c, p)))
+
+    def test_plugging_leaves_a_deep_context_unchanged(self):
+        # a?(x) => b?() => (x!() | []): the hole sits two thunks deep
+        x, y = Name("x"), Name("y")
+        c = Input(Name("a"), (x,), Input(Name("b"), (), Par(Output(x, ()), Hole())))
+        ctx = translate_context(c, (x, y))
+        fresh = translate_context(c, (x, y)).diagram
+        image = (dumps(fresh), signature(fresh))
+        plugged = []
+        for p in (parse("x!(y)"), parse("y?() => x!()")):
+            plugged.append(plug_diagram(ctx, translate(p)))
+            assert (dumps(ctx.diagram), signature(ctx.diagram)) == image
+            assert equal(plugged[-1], translate(plug_term(c, p)))
+        assert not equal(*plugged)
 
     def test_exactly_one_hole_required(self):
         try:
