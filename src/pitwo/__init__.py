@@ -27,8 +27,8 @@ from .syntax import (
 )
 from .congruence import canonical_form, congruent, oracle_congruent
 from .opsem import (
+    LTS,
     Redex,
-    ReductionGraph,
     StateBudgetError,
     find_redexes,
     fire,

@@ -1,10 +1,11 @@
-"""Observables (barbs) and barbed bisimulation on finite reduction graphs.
+"""Observables (barbs) and barbed bisimulation on finite reduction LTSs.
 
 A barb is an unguarded output on a free channel: inputs are unobservable, so
 an observer cannot tell whether a sent message was consumed.  Bisimilarity is
 the greatest symmetric relation that matches single reduction steps and
-preserves barb sets; it is computed by partition refinement over the union of
-the two reachability graphs, starting from the partition induced by barb sets.
+preserves barb sets; it is computed by partition refinement over one reduction
+LTS rooted at both terms (``reduction_union``), starting from the partition
+induced by barb sets.
 
 ``weak=True`` gives weak barbed bisimilarity, where a step may be answered
 by any number of steps and barbs are compared after any number of steps.  It
@@ -20,7 +21,7 @@ from functools import lru_cache
 from typing import Hashable, Sequence
 
 from .congruence import canonical_form
-from .opsem import reachable
+from .opsem import LTS, successors
 from .syntax import Input, Name, New, Output, Par, Process, Stop, par_leaves, pretty
 
 BarbSet = frozenset[Name]
@@ -62,24 +63,17 @@ def partition_refine(succ: Sequence[Sequence[int]], labels: Sequence[Hashable]) 
         blocks = nxt
 
 
-def reduction_union(ps: Sequence[Process], max_states: int = 10_000) -> tuple[list[Process], dict[Process, int], list[list[int]]]:
-    """Shared reachability LTS of several terms: states, index, successor lists."""
-    states: list[Process] = []
-    index: dict[Process, int] = {}
-    succ: list[set[int]] = []
+def reduction_union(ps: Sequence[Process], max_states: int = 10_000) -> LTS:
+    """One reduction LTS rooted at every term of ps; max_states bounds all of it.
+
+    Each root is interned and closed in turn, so a state reached from
+    several roots is explored once.
+    """
+    lts = LTS(successors, max_states)
     for p in ps:
-        root = canonical_form(p)
-        if root in index:
-            continue
-        graph = reachable(root, max_states=max_states)
-        for s in graph.states:
-            if s not in index:
-                index[s] = len(states)
-                states.append(s)
-                succ.append(set())
-        for i, j in graph.edges:
-            succ[index[graph.states[i]]].add(index[graph.states[j]])
-    return states, index, [sorted(ts) for ts in succ]
+        lts.intern(canonical_form(p))
+        lts.close()
+    return lts
 
 
 def _saturate(succ: Sequence[Sequence[int]], labels: Sequence[BarbSet]
@@ -105,8 +99,9 @@ def bisimilarity_verdict(
     p: Process, q: Process, max_states: int = 10_000, weak: bool = False
 ) -> tuple[bool, str | None]:
     """Verdict plus, on failure, a human-readable distinguishing certificate."""
-    states, index, succ = reduction_union([p, q], max_states)
-    i, j = index[canonical_form(p)], index[canonical_form(q)]
+    lts = reduction_union([p, q], max_states)
+    states, succ = lts.states, lts.succ
+    i, j = lts.index[canonical_form(p)], lts.index[canonical_form(q)]
     labels = [barbs(s) for s in states]
     blocks = partition_refine(*(_saturate(succ, labels) if weak else (succ, labels)))
     if blocks[i] == blocks[j]:

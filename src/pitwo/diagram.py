@@ -63,6 +63,7 @@ order to forget.
 from __future__ import annotations
 
 import functools
+import graphlib
 import hashlib
 import itertools
 import json
@@ -312,30 +313,14 @@ class Diagram:
             if self.port_type(src) != self.port_type(dst):
                 raise InterfaceError(f"ill-typed wire {src} -> {dst}")
         # acyclicity over node-to-node wires
-        succ: dict[int, set[int]] = {nid: set() for nid in self.nodes}
+        preds: dict[int, set[int]] = {nid: set() for nid in self.nodes}
         for src, dst in self._dst.items():
             if src[0] == "out" and dst[0] == "in":
-                succ[src[1]].add(dst[1])
-        # depth-first, with an explicit stack: 1 while a node is open, 2 once closed
-        seen: dict[int, int] = {}
-        for root in self.nodes:
-            if root in seen:
-                continue
-            seen[root] = 1
-            stack = [(root, iter(succ[root]))]
-            while stack:
-                v, ws = stack[-1]
-                for w in ws:
-                    state = seen.get(w)
-                    if state == 1:
-                        raise DiagramError("cycle through node %d" % w)
-                    if state is None:
-                        seen[w] = 1
-                        stack.append((w, iter(succ[w])))
-                        break
-                else:
-                    seen[v] = 2
-                    stack.pop()
+                preds[dst[1]].add(src[1])
+        try:
+            graphlib.TopologicalSorter(preds).prepare()
+        except graphlib.CycleError as exc:
+            raise DiagramError("cycle through node %d" % exc.args[1][0]) from None
         for node in self.nodes.values():
             if node.inner is not None:
                 node.inner.validate()

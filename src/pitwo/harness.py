@@ -9,6 +9,11 @@ the diagrammatic semantics over them, and reports any disagreement:
   * contexts:    plugging then translating vs. translating then plugging,
                  and contextual-congruence verdicts on both sides
 
+Both bisimilarity checks refine an ``opsem.LTS`` of at most 10,000 states:
+terms under reduction (``bisim.reduction_union``) and top diagrams under
+``comm_step`` (``DiagramLTS``), whose states are told apart by ``TopDiagram``
+equality alone, never by the term side's canonical forms.
+
 These are finite checks, not proofs: a pass certifies the property on every
 term (or pair, or context) within the corpus bounds.  Reports are
 deterministic given the corpus specification and serialize to JSON with
@@ -19,11 +24,11 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from itertools import product
+from itertools import combinations, islice, product
 
 from .bisim import barbs, partition_refine, reduction_union
 from .congruence import canonical_form, term_size
-from .opsem import reduce_step
+from .opsem import LTS, reduce_step
 from .rewrite import _spine, comm_step, find_diagram_redexes, strip_permits, trace_subject
 from .syntax import Hole, Input, Name, New, Output, Par, Process, Stop, free_names, pretty, recompose
 from .translate import (
@@ -227,15 +232,8 @@ def enumerate_contexts(names: tuple[Name, ...], max_size: int) -> list[Process]:
                             out.append(Par(r, inner))
         return out
 
-    seen: set[str] = set()
-    result: list[Process] = []
-    for s in range(0, max_size + 1):
-        for c in contexts(s):
-            key = pretty(c)
-            if key not in seen:
-                seen.add(key)
-                result.append(c)
-    return result
+    # terms are interned, so one context built twice is the same object
+    return list(dict.fromkeys(c for s in range(max_size + 1) for c in contexts(s)))
 
 
 # ---------------------------------------------------------------------------
@@ -270,37 +268,17 @@ def semantic_barbs(td: TopDiagram) -> frozenset[Name]:
     return frozenset(out)
 
 
-class DiagramLTS:
-    """Transition system over diagram-equality classes, keyed by ``TopDiagram`` equality."""
+class DiagramLTS(LTS):
+    """The LTS of top diagrams under ``comm_step``, states told apart by ``TopDiagram`` equality."""
 
     def __init__(self) -> None:
-        self.classes: list[TopDiagram] = []
-        self._index: dict[TopDiagram, int] = {}
-        self.succ: list[list[int] | None] = []
-
-    def intern(self, td: TopDiagram) -> int:
-        idx = self._index.setdefault(td, len(self.classes))
-        if idx == len(self.classes):
-            self.classes.append(td)
-            self.succ.append(None)
-        return idx
-
-    def close(self) -> None:
-        frontier = [i for i, s in enumerate(self.succ) if s is None]
-        while frontier:
-            nxt: list[int] = []
-            for i in frontier:
-                if self.succ[i] is not None:
-                    continue
-                targets = sorted({self.intern(t) for t in comm_step(self.classes[i])})
-                self.succ[i] = targets
-                nxt.extend(j for j in targets if self.succ[j] is None)
-            frontier = nxt
+        super().__init__(comm_step)
 
     def refine(self) -> list[int]:
+        """Close, then give each state its block id under diagram-side bisimilarity."""
         self.close()
-        labels = [frozenset(n.id for n in semantic_barbs(td)) for td in self.classes]
-        return partition_refine([s or [] for s in self.succ], labels)
+        labels = [frozenset(n.id for n in semantic_barbs(td)) for td in self.states]
+        return partition_refine(self.succ, labels)
 
 
 def _bisim_blocks(terms: list[Process], tops: list[TopDiagram]) -> tuple[list[int], list[int]]:
@@ -310,12 +288,12 @@ def _bisim_blocks(terms: list[Process], tops: list[TopDiagram]) -> tuple[list[in
     refined in their shared reduction LTS and diagrams in a ``DiagramLTS``; two
     inputs are bisimilar on a side iff their block ids on that side are equal.
     """
-    states, index, succ = reduction_union(terms)
-    syn_blocks = partition_refine(succ, [barbs(s) for s in states])
-    lts = DiagramLTS()
-    roots = [lts.intern(td) for td in tops]
-    sem_blocks = lts.refine()
-    return ([syn_blocks[index[canonical_form(p)]] for p in terms],
+    lts = reduction_union(terms)
+    syn_blocks = partition_refine(lts.succ, [barbs(s) for s in lts.states])
+    diagrams = DiagramLTS()
+    roots = [diagrams.intern(td) for td in tops]
+    sem_blocks = diagrams.refine()
+    return ([syn_blocks[lts.index[canonical_form(p)]] for p in terms],
             [sem_blocks[r] for r in roots])
 
 
@@ -413,24 +391,17 @@ def verify_full_abstraction(spec: CorpusSpec = DESK_SPEC, max_terms: int = 200,
     terms = enumerate_terms(spec)[:max_terms]
     syn_blocks, sem_blocks = _bisim_blocks(terms, [translate_top(p, 1, True) for p in terms])
     report = VerificationReport("full-abstraction", len(terms), 0)
-    pairs = 0
-    for i in range(len(terms)):
-        for j in range(i + 1, len(terms)):
-            if pairs >= max_pairs:
-                break
-            pairs += 1
-            syn = syn_blocks[i] == syn_blocks[j]
-            sem = sem_blocks[i] == sem_blocks[j]
-            if syn != sem:
-                report.counterexamples.append({
-                    "left": pretty(terms[i]),
-                    "right": pretty(terms[j]),
-                    "syntactic_bisimilar": syn,
-                    "semantic_bisimilar": sem,
-                })
-        if pairs >= max_pairs:
-            break
-    report.checked = pairs
+    for i, j in islice(combinations(range(len(terms)), 2), max_pairs):
+        report.checked += 1
+        syn = syn_blocks[i] == syn_blocks[j]
+        sem = sem_blocks[i] == sem_blocks[j]
+        if syn != sem:
+            report.counterexamples.append({
+                "left": pretty(terms[i]),
+                "right": pretty(terms[j]),
+                "syntactic_bisimilar": syn,
+                "semantic_bisimilar": sem,
+            })
     report.elapsed = time.perf_counter() - t0
     return report
 

@@ -1,4 +1,4 @@
-"""The reduction relation: communication redexes and reachability graphs.
+"""The reduction relation, and the one explorer of transition systems.
 
 A step synchronizes one unguarded output with one unguarded input on the same
 channel with matching arity.  All context bookkeeping (reduction under
@@ -7,6 +7,11 @@ absorbed by working on canonical forms: after canonicalization every
 communication candidate is a pair of components of the single top-level
 parallel multiset, below the hoisted restriction chain.
 
+``LTS`` builds the states reachable from interned roots under any step
+function, breadth-first and within a state budget.  Both semantics explore
+with it: terms under reduction (``reachable`` and ``bisim.reduction_union``)
+and top diagrams under ``comm_step`` (``harness.DiagramLTS``).
+
 Replication does not exist in this calculus, so every reduction removes two
 prefixes and every state space is finite.
 """
@@ -14,6 +19,7 @@ prefixes and every state space is finite.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable, Hashable, Iterable
 
 from .congruence import CanonicalProcess, canonical_form
 from .syntax import Input, Name, New, Output, Process, Stop, par_leaves, pretty, recompose, substitute
@@ -92,37 +98,55 @@ def reduce_step_detailed(p: Process) -> list[tuple[Redex, CanonicalProcess]]:
     return [(r, fire(p, r)) for r in find_redexes(p)]
 
 
-@dataclass(frozen=True)
-class ReductionGraph:
-    """A finite reduction state space rooted at states[0]."""
+def successors(p: Process) -> list[CanonicalProcess]:
+    """reduce_step(p) in pretty order, the order in which exploration numbers them."""
+    return sorted(reduce_step(p), key=pretty)
 
-    states: tuple[CanonicalProcess, ...]
-    edges: frozenset[tuple[int, int]]
+
+class LTS:
+    """The states reachable from interned roots under a step function.
+
+    States are numbered in the order they are first interned.  ``close``
+    explores them breadth-first in that order, so each state's successors
+    are computed once, however many roots reach it; ``succ[i]`` is then the
+    sorted ids of state i's successors.  The class only explores: states
+    are told apart by their own equality, never canonicalised here.
+    """
+
+    def __init__(self, step: Callable[[Hashable], Iterable[Hashable]], max_states: int = 10_000) -> None:
+        self.step = step
+        self.max_states = max_states
+        self.states: list[Hashable] = []
+        self.index: dict[Hashable, int] = {}
+        self.succ: list[list[int]] = []
+
+    def intern(self, state: Hashable) -> int:
+        n = len(self.states)
+        if n >= self.max_states and state not in self.index:
+            raise StateBudgetError(f"more than {self.max_states} reachable states")
+        # one lookup, so the state is hashed once; a top diagram hashes its signature
+        i = self.index.setdefault(state, n)
+        if i == n:
+            self.states.append(state)
+        return i
+
+    def close(self) -> LTS:
+        """Explore every interned state not yet explored, and all it reaches."""
+        while len(self.succ) < len(self.states):
+            s = self.states[len(self.succ)]
+            self.succ.append(sorted({self.intern(t) for t in self.step(s)}))
+        return self
+
+    @property
+    def edges(self) -> list[tuple[int, int]]:
+        return [(i, j) for i, ts in enumerate(self.succ) for j in ts]
 
     def to_json(self) -> dict:
-        return {
-            "states": [pretty(s) for s in self.states],
-            "edges": sorted([i, j] for i, j in self.edges),
-        }
+        return {"states": [pretty(s) for s in self.states], "edges": [list(e) for e in self.edges]}
 
 
-def reachable(p: Process, max_states: int = 10_000) -> ReductionGraph:
-    """BFS closure of reduce_step from canonical_form(p)."""
-    root = canonical_form(p)
-    states = [root]
-    index = {root: 0}
-    edges: set[tuple[int, int]] = set()
-    frontier = [root]
-    while frontier:
-        nxt = []
-        for s in frontier:
-            for t in sorted(reduce_step(s), key=pretty):
-                if t not in index:
-                    if len(states) >= max_states:
-                        raise StateBudgetError(f"more than {max_states} reachable states")
-                    index[t] = len(states)
-                    states.append(t)
-                    nxt.append(t)
-                edges.add((index[s], index[t]))
-        frontier = nxt
-    return ReductionGraph(tuple(states), frozenset(edges))
+def reachable(p: Process, max_states: int = 10_000) -> LTS:
+    """The reduction LTS rooted at canonical_form(p), state 0."""
+    lts = LTS(successors, max_states)
+    lts.intern(canonical_form(p))
+    return lts.close()

@@ -70,6 +70,13 @@ class _Term:
     __slots__ = ("_hash", "__weakref__")
     __match_args__: tuple[str, ...] = ()
 
+    def __new__(cls) -> _Term:
+        """The one term of a class without fields: Stop and Hole."""
+        key = (cls.__name__,)
+        entry = _TABLE.get(key)
+        t = entry and entry()
+        return _build(cls, key) if t is None else t
+
     def __hash__(self) -> int:
         return self._hash
 
@@ -89,10 +96,22 @@ class _Term:
     def __str__(self) -> str:
         return pretty(self)
 
+    @staticmethod
+    def _check(*fields: object) -> None:
+        """Reject invalid fields; runs once, when the term is first built."""
 
-def _enter(t: _Term, key: tuple, fields: tuple) -> _Term:
-    """Give the new term t the hash of fields (its class name and fields); table it under key."""
-    _set(t, "_hash", hash(fields))
+
+def _build(cls: type, key: tuple, *fields: object) -> _Term:
+    """The new term of cls with these fields, in ``__match_args__`` order; table it under key.
+
+    Called only when the table has no live term under key, so ``_check``
+    runs once per distinct term.
+    """
+    cls._check(*fields)
+    t = object.__new__(cls)
+    for name, value in zip(cls.__match_args__, fields):
+        _set(t, name, value)
+    _set(t, "_hash", hash((cls.__name__, *fields)))
     entry = _TABLE[key] = _Entry(t, _forget)
     entry.key = key
     return t
@@ -109,15 +128,14 @@ class Name(_Term):
         key = ("Name", id)
         entry = _TABLE.get(key)
         t = entry and entry()
-        if t is None:
-            if not _NAME_RE.match(id):
-                raise ValueError(f"invalid name identifier: {id!r}")
-            if id in _RESERVED:
-                raise ValueError(f"reserved word cannot be a name: {id!r}")
-            t = object.__new__(cls)
-            _set(t, "id", id)
-            _enter(t, key, key)
-        return t
+        return _build(cls, key, id) if t is None else t
+
+    @staticmethod
+    def _check(id: str) -> None:
+        if not _NAME_RE.match(id):
+            raise ValueError(f"invalid name identifier: {id!r}")
+        if id in _RESERVED:
+            raise ValueError(f"reserved word cannot be a name: {id!r}")
 
     def __lt__(self, other: object) -> bool:
         if other.__class__ is not Name:
@@ -133,14 +151,6 @@ class Stop(_Term):
 
     __slots__ = ()
 
-    def __new__(cls) -> Stop:
-        key = ("Stop",)
-        entry = _TABLE.get(key)
-        t = entry and entry()
-        if t is None:
-            t = _enter(object.__new__(cls), key, key)
-        return t
-
 
 class Input(_Term):
     """x?(y1,...,yn) => body: receive n names on x, binding them in body."""
@@ -152,15 +162,12 @@ class Input(_Term):
         key = ("Input", id(subject), id(body), *map(id, params))
         entry = _TABLE.get(key)
         t = entry and entry()
-        if t is None:
-            if len(set(params)) != len(params):
-                raise ValueError(f"duplicate input parameters: {params}")
-            t = object.__new__(cls)
-            _set(t, "subject", subject)
-            _set(t, "params", params)
-            _set(t, "body", body)
-            _enter(t, key, ("Input", subject, params, body))
-        return t
+        return _build(cls, key, subject, params, body) if t is None else t
+
+    @staticmethod
+    def _check(subject: Name, params: tuple[Name, ...], body: Process) -> None:
+        if len(set(params)) != len(params):
+            raise ValueError(f"duplicate input parameters: {params}")
 
 
 class Output(_Term):
@@ -173,12 +180,7 @@ class Output(_Term):
         key = ("Output", id(subject), *map(id, args))
         entry = _TABLE.get(key)
         t = entry and entry()
-        if t is None:
-            t = object.__new__(cls)
-            _set(t, "subject", subject)
-            _set(t, "args", args)
-            _enter(t, key, ("Output", subject, args))
-        return t
+        return _build(cls, key, subject, args) if t is None else t
 
 
 class New(_Term):
@@ -191,12 +193,7 @@ class New(_Term):
         key = ("New", id(binder), id(body))
         entry = _TABLE.get(key)
         t = entry and entry()
-        if t is None:
-            t = object.__new__(cls)
-            _set(t, "binder", binder)
-            _set(t, "body", body)
-            _enter(t, key, ("New", binder, body))
-        return t
+        return _build(cls, key, binder, body) if t is None else t
 
 
 class Par(_Term):
@@ -209,26 +206,13 @@ class Par(_Term):
         key = ("Par", id(left), id(right))
         entry = _TABLE.get(key)
         t = entry and entry()
-        if t is None:
-            t = object.__new__(cls)
-            _set(t, "left", left)
-            _set(t, "right", right)
-            _enter(t, key, ("Par", left, right))
-        return t
+        return _build(cls, key, left, right) if t is None else t
 
 
 class Hole(_Term):
     """The unique plug position of a syntactic context.  Not parseable."""
 
     __slots__ = ()
-
-    def __new__(cls) -> Hole:
-        key = ("Hole",)
-        entry = _TABLE.get(key)
-        t = entry and entry()
-        if t is None:
-            t = _enter(object.__new__(cls), key, key)
-        return t
 
 
 Process = Union[Stop, Input, Output, New, Par, Hole]

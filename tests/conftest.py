@@ -3,8 +3,9 @@
 The oracles here deliberately re-derive results through a different route
 than the library code: canonical forms by renamed copies and every binder
 order, naive inductive reduction, rename-apart substitution, a
-greatest-fixpoint bisimulation over the full relation lattice, and diagram
-isomorphism by backtracking over node mappings.
+greatest-fixpoint bisimulation over the full relation lattice, shared
+reachability by a separate search per root, and diagram isomorphism by
+backtracking over node mappings.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from pitwo.congruence import (
     term_size,
 )
 from pitwo.diagram import _UNORDERED, Diagram, Node, _coloring
+from pitwo.opsem import reduce_step
 from pitwo.syntax import (
     Input,
     Name,
@@ -43,6 +45,7 @@ from pitwo.syntax import (
     Stop,
     all_names,
     free_names,
+    pretty,
     substitute,
 )
 
@@ -333,9 +336,9 @@ def gfp_bisimilar(p: Process, q: Process, weak: bool = False) -> bool:
     any number of steps (zero included), and states are labelled by the barbs
     they can reach after any number of steps.
     """
-    states, index, succ = reduction_union([p, q])
-    rel = gfp_relation(succ, [barbs(s) for s in states], weak)
-    return (index[canonical_form(p)], index[canonical_form(q)]) in rel
+    lts = reduction_union([p, q])
+    rel = gfp_relation(lts.succ, [barbs(s) for s in lts.states], weak)
+    return (lts.index[canonical_form(p)], lts.index[canonical_form(q)]) in rel
 
 
 def gfp_relation(succ: list[list[int]], barb_sets: list, weak: bool = False) -> set[tuple[int, int]]:
@@ -370,6 +373,40 @@ def gfp_relation(succ: list[list[int]], barb_sets: list, weak: bool = False) -> 
                 rel.discard((i, j))
                 changed = True
     return rel
+
+
+# ---------------------------------------------------------------------------
+# Shared reachability by one breadth-first search per root.
+
+
+def per_root_union(ps: list[Process]) -> tuple[list[Process], list[list[int]]]:
+    """States and sorted successor ids of the union of each root's own reachability graph.
+
+    Every root gets a separate search that re-explores whatever an earlier
+    root already reached, visits successors in ``pretty`` order and lists
+    states in first-visit order.  The union numbers states by their first
+    appearance in these lists, root by root.
+    """
+    states: list[Process] = []
+    index: dict[Process, int] = {}
+    edges: set[tuple[Process, Process]] = set()
+    for p in ps:
+        order = [canonical_form(p)]
+        k = 0
+        while k < len(order):
+            for t in sorted(reduce_step(order[k]), key=pretty):
+                edges.add((order[k], t))
+                if t not in order:
+                    order.append(t)
+            k += 1
+        for s in order:
+            if s not in index:
+                index[s] = len(states)
+                states.append(s)
+    succ: list[set[int]] = [set() for _ in states]
+    for s, t in edges:
+        succ[index[s]].add(index[t])
+    return states, [sorted(ts) for ts in succ]
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,10 @@
+import random
+
+import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from conftest import gfp_bisimilar, gfp_relation, process_st
+from conftest import gfp_bisimilar, gfp_relation, per_root_union, process_st
 from pitwo.bisim import (
     _saturate,
     barbs,
@@ -12,6 +15,7 @@ from pitwo.bisim import (
 )
 from pitwo.congruence import congruent
 from pitwo.harness import CorpusSpec, enumerate_terms
+from pitwo.opsem import StateBudgetError
 from pitwo.syntax import Name, free_names, parse
 
 x = Name("x")
@@ -106,10 +110,33 @@ class TestProperties:
 
     def test_weak_refinement_matches_gfp_on_every_state_pair(self):
         terms = enumerate_terms(CorpusSpec(2, 3, 1, 3, True))[:150]
-        states, _, succ = reduction_union(terms)
+        lts = reduction_union(terms)
+        states, succ = lts.states, lts.succ
         labels = [barbs(s) for s in states]
         blocks = partition_refine(*_saturate(succ, labels))
         rel = gfp_relation(succ, labels, weak=True)
         n = len(states)
         assert n > 150
         assert {(i, j) for i in range(n) for j in range(n) if blocks[i] == blocks[j]} == rel
+
+
+class TestReductionUnion:
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(process_st(max_leaves=5), max_size=4))
+    def test_matches_per_root_search(self, ps):
+        lts = reduction_union(ps)
+        assert (lts.states, lts.succ) == per_root_union(ps)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_matches_per_root_search_on_corpus_lists(self, seed):
+        terms = random.Random(seed).sample(enumerate_terms(CorpusSpec(2, 3, 1, 3, True)), 40)
+        lts = reduction_union(terms)
+        assert (lts.states, lts.succ) == per_root_union(terms)
+
+    def test_budget_bounds_the_union(self):
+        # two states each, and no state in common
+        p, q = parse("a?() => c!() | a!()"), parse("b?() => d!() | b!()")
+        assert len(reduction_union([p], max_states=3).states) == 2
+        assert len(reduction_union([q], max_states=3).states) == 2
+        with pytest.raises(StateBudgetError):
+            reduction_union([p, q], max_states=3)

@@ -57,6 +57,7 @@ def _command_lines() -> list[list[str]]:
         base += [
             ["canon", t],
             ["step", t],
+            ["run", t],
             ["barbs", t],
             ["translate", t],
             ["translate", t, "--top"],
@@ -66,6 +67,7 @@ def _command_lines() -> list[list[str]]:
             ["crewrite", t, "--index", "0"],
             ["concurrent", t],
         ]
+    base.append(["run", TERMS[2], "--max-states", "1"])
     for p, q in PAIRS:
         base += [["bisim", p, q], ["bisim", p, q, "--weak"]]
     return [argv for b in base for argv in (b, ["--json", *b])]

@@ -386,6 +386,24 @@ class TestValidation:
         with pytest.raises(DiagramError):
             d.validate()
 
+    def test_par_feeding_itself_is_a_cycle(self):
+        d = Diagram()
+        p = d.add("par", arity=2)
+        d.connect(("out", p, 0), ("in", p, 0))
+        d.connect(("out", d.add("stop"), 0), ("in", p, 1))
+        with pytest.raises(DiagramError, match=f"cycle through node {p}"):
+            d.validate()
+
+    def test_two_node_cycle(self):
+        d = Diagram()
+        a, b = d.add("par", arity=2), d.add("par", arity=2)
+        d.connect(("out", a, 0), ("in", b, 0))
+        d.connect(("out", b, 0), ("in", a, 0))
+        for n in (a, b):
+            d.connect(("out", d.add("stop"), 0), ("in", n, 1))
+        with pytest.raises(DiagramError, match="cycle through node [01]$"):
+            d.validate()
+
     @settings(max_examples=100, deadline=None)
     @given(process_st(max_leaves=5))
     def test_translation_is_well_typed(self, p):

@@ -1,6 +1,7 @@
 import pytest
 
 from pitwo.congruence import canonical_form
+from pitwo.opsem import StateBudgetError
 from pitwo.harness import (
     CorpusSpec,
     DESK_SPEC,
@@ -138,6 +139,13 @@ class TestDiagramLTS:
         j = lts.intern(translate_top(parse("b!() | a!()"), 1, True))
         k = lts.intern(translate_top(parse("a!()"), 1, True))
         assert i == j != k
+
+    def test_budget_bounds_the_closure(self):
+        lts = DiagramLTS()
+        lts.max_states = 1
+        lts.intern(translate_top(parse("x?(y) => 0 | x!(u)"), 1, True))
+        with pytest.raises(StateBudgetError):
+            lts.refine()
 
     def test_seal_of_translation_matches_translate_top(self):
         p = parse("x?(y) => y!() | x!(u)")
