@@ -9,13 +9,14 @@ verification, or exhausted budget, 2 on usage or parse errors.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
 from . import diagram as dg
 from .bisim import barbs, bisimilarity_verdict
 from .congruence import canonical_form, congruent
-from .harness import NAME_ALPHABET, VERIFIERS, CorpusSpec, DESK_SPEC, SMALL_SPEC
+from .harness import NAME_ALPHABET, VERIFIERS, DESK_SPEC, SMALL_SPEC
 from .opsem import StateBudgetError, reachable, reduce_step
 from .rewrite import (
     StaleDiagramRedexError,
@@ -179,12 +180,10 @@ def cmd_verify(args) -> int:
     verifier = VERIFIERS[args.lemma]
     if args.names is not None or args.max_size is not None:
         base = SMALL_SPEC if args.lemma == "congruence" else DESK_SPEC
-        spec = CorpusSpec(
+        spec = dataclasses.replace(
+            base,
             name_alphabet_size=args.names if args.names is not None else base.name_alphabet_size,
             max_prefixes=args.max_size if args.max_size is not None else base.max_prefixes,
-            max_arity=base.max_arity,
-            max_parallel_width=base.max_parallel_width,
-            allow_new=base.allow_new,
         )
         report = verifier(spec)
     else:
@@ -224,10 +223,10 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--gc-vacuous", action="store_true")
     term_cmd("step", "one-step reduction successors")
     sp = term_cmd("run", "explore the full reduction graph")
-    sp.add_argument("--max-states", type=int, default=10_000)
+    sp.add_argument("--max-states", type=_nonnegative, default=10_000)
     term_cmd("barbs", "observable output channels")
     sp = term_cmd("bisim", "barbed bisimilarity verdict", two=True)
-    sp.add_argument("--max-states", type=int, default=10_000)
+    sp.add_argument("--max-states", type=_nonnegative, default=10_000)
     sp.add_argument("--weak", action="store_true", help="reflexive-transitive matching")
     sp = term_cmd("translate", "diagram of a term")
     sp.add_argument("--top", action="store_true", help="add permits and instantiate names")

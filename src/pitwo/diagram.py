@@ -27,19 +27,20 @@ port-graph isomorphism and the exchange law of captured wires (a thunk's
 captured inputs permute together with its body's captured domain ports),
 which is equality of their signatures.
 
-Nodes are immutable values, and a thunk body, once boxed, is never changed:
-copies of a diagram share their nodes and bodies, so every copy is shallow.
-Code that needs a changed body builds it on a copy and replaces the node.
+Nodes are immutable values, and a thunk body is boxed in normal form and never
+changed: ``Diagram.add`` stores the normal form of the body it is given, and
+``_splice`` moves nodes into a diagram as they are, without ``add``.  Copies
+of a diagram share their nodes and bodies, so every copy is shallow.  Code
+that needs a changed body replaces the node with one boxing its normal form.
 
-Normalization is one ordered pass over one copy: replace each thunk body by
-its normal form, fire each apply fed by a thunk, rebuild each maximal par
-tree as one node without stops and each maximal copy tree as one node without
-discards, then delete each name or fresh source that feeds a discard.  One
-pass is enough because no step makes work for an earlier one: a normal body
-holds no apply, so splicing it makes no beta redex; par and copy trees share
-no wire type; and a deleted source-discard pair belongs to neither tree.
-Tree walks use an explicit stack, and a body the pass leaves alone keeps its
-signature.
+Normalization is one ordered pass over one copy, and never descends into a
+body: fire each apply fed by a thunk, rebuild each maximal par tree as one
+node without stops and each maximal copy tree as one node without discards,
+then delete each name or fresh source that feeds a discard.  One pass is
+enough because no step makes work for an earlier one: a normal body holds no
+apply, so splicing it makes no beta redex; par and copy trees share no wire
+type; and a deleted source-discard pair belongs to neither tree.  Tree walks
+use an explicit stack, and a diagram the pass leaves alone keeps its signature.
 
 ``_refine`` colours a diagram with canonical integers until the number of
 colour classes stops changing, folding every round's table into one digest;
@@ -146,11 +147,11 @@ def _port_table(k: str, n: int, cap: int) -> tuple[tuple[WireType, ...], tuple[W
 
 
 class Node(NamedTuple):
-    """A generator node, an immutable value; a thunk's body is ``inner``.
+    """A generator node, an immutable value; a thunk's body is ``inner``, in normal form.
 
     Copies of a diagram share its nodes, and through them the bodies, so a
     body is never changed once it is in a node: to change one, build a new
-    body and replace the node (``node._replace(inner=body)``).
+    body and replace the node (``node._replace(inner=normalize(body))``).
     """
 
     kind: str
@@ -176,8 +177,9 @@ class Diagram:
     All public operations (compose, tensor, normalize, ...) copy their
     arguments; nothing mutates a diagram a caller still holds.  A copy is
     shallow: it has its own node table, wires and interface, and shares the
-    immutable nodes and thunk bodies.  The signature is cached on the
-    diagram in ``_sig``; every mutator clears it, and code that assigns
+    immutable nodes and thunk bodies.  ``add`` boxes a body as its normal
+    form, so every body in the table is normal.  The signature is cached on
+    the diagram in ``_sig``; every mutator clears it, and code that assigns
     ``dom``, ``cod`` or an entry of ``nodes`` directly must clear it too.
     Two diagrams that differ only in the order of a thunk's captured inputs,
     with its body's captured domain ports permuted alike, are the same
@@ -197,9 +199,12 @@ class Diagram:
 
     def add(self, kind: str, arity: int = 0, cap: int = 0, label: str = "",
             inner: "Diagram | None" = None) -> int:
+        """Add a node; a thunk body ``inner`` is boxed as its normal form."""
         self._sig = None
         nid = self._next
         self._next += 1
+        if inner is not None:
+            inner = normalize(inner)
         # _make skips the __init__ step of calling the class: a third cheaper
         self.nodes[nid] = Node._make((kind, arity, cap, label, inner))
         return nid
@@ -379,10 +384,13 @@ def generator(kind: str, arity: int = 0, cap: int = 0, label: str = "",
 
 
 def _splice(d: Diagram, sub: Diagram, dom_prods: list[Port], cod_cons: list[Port]) -> None:
-    """Inline sub's nodes into d, gluing its boundary to the given ports; bodies are shared."""
+    """Inline sub's nodes into d as they are, bodies shared, gluing its boundary to the ports."""
+    d._sig = None
     mapping: dict[int, int] = {}
-    for nid, node in sorted(sub.nodes.items()):
-        mapping[nid] = d.add(*node)
+    for nid in sorted(sub.nodes):
+        mapping[nid] = d._next
+        d.nodes[d._next] = sub.nodes[nid]
+        d._next += 1
 
     def msrc(p: Port) -> Port:
         if p[0] == "dom":
@@ -436,7 +444,7 @@ def curry(arity: int, body: Diagram) -> Diagram:
     if len(body.dom) < arity:
         raise InterfaceError(f"body has {len(body.dom)} ports, needs >= {arity}")
     cap = len(body.dom) - arity
-    return generator("thunk", arity=arity, cap=cap, inner=body.copy())
+    return generator("thunk", arity=arity, cap=cap, inner=body)
 
 
 def apply_ev(thunk: Diagram, args: Diagram) -> Diagram:
@@ -559,31 +567,18 @@ def _drop_scalars(d: Diagram) -> None:
             _detach(d, cons[1])
 
 
-def _normalize_in_place(d: Diagram) -> None:
-    for nid, node in d.nodes.items():
-        if node.inner is not None:
-            # bodies are shared with other diagrams: normalize a copy and
-            # replace the node (same key, so the iteration is undisturbed)
-            body = node.inner.copy()
-            _normalize_in_place(body)
-            d.nodes[nid] = node._replace(inner=body)
-            # a body is unsigned if it changed, if d was never signed, or if
-            # d's graph inlines it, since an inlined body is never signed alone
-            if body._sig is None:
-                d._sig = None
-    _fire_betas(d)
-    _flatten(d, "par", "stop")
-    _flatten(d, "copy", "discard")
-    _drop_scalars(d)
-
-
 def normalize(d: Diagram) -> Diagram:
     """The normal form of d under the diagram equations, as a new diagram.
 
     One ordered pass over a copy of d (see the module docstring); idempotent.
+    Thunk bodies are normal from the moment they are boxed, so the pass never
+    descends into them.
     """
     h = d.copy()
-    _normalize_in_place(h)
+    _fire_betas(h)
+    _flatten(h, "par", "stop")
+    _flatten(h, "copy", "discard")
+    _drop_scalars(h)
     return h
 
 

@@ -29,7 +29,8 @@ from itertools import combinations, islice, product
 from .bisim import barbs, partition_refine, reduction_union
 from .congruence import canonical_form, term_size
 from .opsem import LTS, reduce_step
-from .rewrite import _spine, comm_step, find_diagram_redexes, strip_permits, trace_subject
+from .rewrite import (_spine, apply_comm, comm_step, count_permits, find_diagram_redexes,
+                      strip_permits, trace_subject)
 from .syntax import Hole, Input, Name, New, Output, Par, Process, Stop, free_names, pretty, recompose
 from .translate import (
     DiagramContext,
@@ -468,8 +469,6 @@ def verify_contextual_congruence(spec: CorpusSpec = SMALL_SPEC, context_bound: i
 
 def verify_catalyst_gating(spec: CorpusSpec = DESK_SPEC) -> VerificationReport:
     """No permit, no rewrite; and firing never changes the permit count."""
-    from .rewrite import apply_comm, count_permits
-
     t0 = time.perf_counter()
     terms = enumerate_terms(spec)
     report = VerificationReport("catalyst-gating", len(terms), 0)

@@ -49,9 +49,8 @@ def _emit(p: Process, d: Diagram, hole_names: tuple[Name, ...] | None = None
         case Output(subject, args):
             nid = d.add("send", arity=len(args))
             demands: dict[Name, list[Port]] = {}
-            _merge(demands, {subject: [("in", nid, 0)]})
-            for i, a in enumerate(args):
-                _merge(demands, {a: [("in", nid, 1 + i)]})
+            for i, a in enumerate((subject, *args)):
+                demands.setdefault(a, []).append(("in", nid, i))
             return ("out", nid, 0), demands
         case Par():
             # both sides, then their par node
@@ -84,7 +83,7 @@ def _emit(p: Process, d: Diagram, hole_names: tuple[Name, ...] | None = None
             d.connect(("out", tid, 0), ("in", rid, 1))
             demands = {subject: [("in", rid, 0)]}
             for j, c in enumerate(captured):
-                _merge(demands, {c: [("in", tid, j)]})
+                demands.setdefault(c, []).append(("in", tid, j))
             return ("out", rid, 0), demands
         case Hole():
             if hole_names is None:
@@ -92,7 +91,7 @@ def _emit(p: Process, d: Diagram, hole_names: tuple[Name, ...] | None = None
             nid = d.add("hole", arity=len(hole_names))
             demands = {}
             for i, name in enumerate(hole_names):
-                _merge(demands, {name: [("in", nid, i)]})
+                demands.setdefault(name, []).append(("in", nid, i))
             return ("out", nid, 0), demands
     raise TypeError(f"not a process: {p!r}")
 
@@ -239,7 +238,8 @@ def _plugged(d: Diagram, f: Diagram) -> Diagram | None:
     """A copy of d with f spliced into its hole, or None if d has no hole.
 
     Thunk bodies are shared values, so a hole inside one is plugged in a copy
-    of each body on the path to it, and each such thunk node is replaced.
+    of each body on the path to it, and each such thunk node is replaced by
+    one that boxes the plugged body's normal form.
     """
     for nid in sorted(d.nodes):
         node = d.nodes[nid]
@@ -261,7 +261,7 @@ def _plugged(d: Diagram, f: Diagram) -> Diagram | None:
         body = _plugged(node.inner, f) if node.inner is not None else None
         if body is not None:
             h = d.copy()
-            h.nodes[nid] = node._replace(inner=body)
+            h.nodes[nid] = node._replace(inner=normalize(body))
             h._sig = None
             return h
     return None

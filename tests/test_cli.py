@@ -159,6 +159,11 @@ class TestErrors:
     def test_budget_exit_1(self, capsys):
         assert main(["run", "x?(y) => 0 | x!(u)", "--max-states", "1"]) == 1
 
+    def test_negative_max_states_exit_2(self, capsys):
+        for argv in (["run", "0"], ["bisim", "0", "0"]):
+            assert main([*argv, "--max-states", "-1"]) == 2
+            assert "usage:" in capsys.readouterr().err
+
     def test_negative_comm_tokens_exit_2(self, capsys):
         for argv in (["translate", "x!(u)", "--top"], ["redexes", "x!(u)"],
                      ["crewrite", "x!(u)", "--index", "0"], ["concurrent", "x!(u)"]):

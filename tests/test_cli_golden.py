@@ -3,7 +3,8 @@
 Each case is one ``pitwo`` command line.  The committed data file maps the
 command line to a digest of its exit code, stdout and stderr, so any change
 to what the CLI prints shows up here.  After an intended output change,
-re-record with ``PYTHONPATH=src python tests/test_cli_golden.py``.
+re-record with ``PYTHONPATH=src python tests/test_cli_golden.py``; it prints
+each key it added and each existing key whose digest changed.
 """
 
 from __future__ import annotations
@@ -37,6 +38,9 @@ TERMS = [
     "(new z)(z!(a)) | a?() => 0",
     "x?(y) => (new w)(y!(w) | w?() => 0) | x!(v) | v?(q) => q!()",
     "a?(y) => b!(y) | b?(z) => z!() | a!(c) | c?() => 0",
+    "x?() => (a!() | b!() | c!())",
+    "x?() => (a!() | 0)",
+    "x?(y) => (new w) 0",
 ]
 
 PAIRS = [
@@ -100,6 +104,12 @@ def test_cli_output_unchanged(golden, key):
 
 if __name__ == "__main__":
     GOLDEN.parent.mkdir(exist_ok=True)
+    old = json.loads(GOLDEN.read_text(encoding="utf-8")) if GOLDEN.exists() else {}
     data = {key: digest(argv) for key, argv in sorted(CASES.items())}
     GOLDEN.write_text(json.dumps(data, indent=0, sort_keys=True) + "\n", encoding="utf-8")
+    for key, value in data.items():
+        if key not in old:
+            print(f"added: {key}")
+        elif old[key] != value:
+            print(f"changed: {key}")
     print(f"recorded {len(data)} cases in {GOLDEN}")

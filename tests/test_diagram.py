@@ -42,8 +42,8 @@ from pitwo.rewrite import (
     find_diagram_redexes,
     strip_permits,
 )
-from pitwo.syntax import New, Par, free_names, parse
-from pitwo.translate import top_equal, translate, translate_top
+from pitwo.syntax import Hole, Input, Name, New, Output, Par, free_names, parse
+from pitwo.translate import plug_diagram, top_equal, translate, translate_context, translate_top
 
 
 def closed_proc(label: str) -> Diagram:
@@ -295,9 +295,12 @@ class TestEqual:
         assert equal(translate(p), translate(q)) == equal(translate(q), translate(p))
 
 
-# Thunk bodies, two deep, that normalization changes: each holds a stop in a par tree.
-NESTED = "a?(x) => (x!() | 0 | b?() => (x!() | 0))"
+# Terms whose raw diagrams hold a stop in a par tree at every level, two deep.
+NESTED = "a?(x) => (x!() | 0 | b?() => (x!() | 0)) | 0"
 BODY = "x!() | 0 | b?() => (x!() | 0)"
+# a?(x) => c?() => (x!() | [ ]): a hole two thunks deep, for BODY's free names b, x.
+HOLE_IN_BODY = Input(Name("a"), (Name("x"),),
+                     Input(Name("c"), (), Par(Output(Name("x"), ()), Hole())))
 # Two redexes on distinct subjects, whose reducts splice bodies with thunks in them.
 TWO_REDEXES = "a?(x) => (x!() | b?() => x!()) | a!(c) | d?() => (b!() | c?() => 0) | d!()"
 
@@ -310,6 +313,10 @@ def _top(catalysts: int = 1):
     return translate_top(parse(TWO_REDEXES), catalysts)
 
 
+def _hole_in_body():
+    return translate_context(HOLE_IN_BODY, (Name("b"), Name("x")))
+
+
 # name -> (a function building fresh inputs, the call made on them)
 ALIASING_CALLS = {
     "normalize": (lambda: (_open(NESTED),), normalize),
@@ -319,6 +326,8 @@ ALIASING_CALLS = {
                 lambda f, g: normalize(compose(f, g))),
     "tensor": (lambda: (_open(NESTED), _open(BODY)), lambda f, g: normalize(tensor(f, g))),
     "curry": (lambda: (_open(BODY),), lambda body: normalize(curry(1, body))),
+    "generator": (lambda: (_open(BODY),), lambda body: generator("thunk", arity=1, cap=1, inner=body)),
+    "plug_diagram": (lambda: (_hole_in_body(), _open(BODY)), plug_diagram),
     "apply_ev": (lambda: (curry(1, _open(BODY)), generator("name", label="u")),
                  lambda thunk, arg: normalize(apply_ev(thunk, arg))),
     "apply_comm": (lambda: (_top(),), lambda td: apply_comm(td, find_diagram_redexes(td)[0])),
@@ -344,11 +353,10 @@ class TestAliasing:
         call(*inputs)
         assert [_image(x) for x in inputs] == expected
 
-    def test_normalize_changes_the_bodies(self):
-        # the inputs above are only a check if their bodies are not normal
+    def test_normalize_changes_the_outer_diagram(self):
+        # the inputs above are only a check if normalize has work to do on them
         d = _open(NESTED)
-        (t,) = [nid for nid, node in d.nodes.items() if node.inner is not None]
-        assert dg.dumps(normalize(d).nodes[t].inner) != dg.dumps(d.nodes[t].inner)
+        assert dg.dumps(normalize(d)) != dg.dumps(d)
 
     def test_two_concurrent_redexes(self):
         assert len(concurrent_step(_top(2))[0]) == 2
@@ -363,6 +371,47 @@ class TestAliasing:
         node = generator("stop").nodes[0]
         with pytest.raises(AttributeError):
             node.kind = "comm"
+
+
+def _bodies(d: Diagram) -> list[Diagram]:
+    """Every thunk body of d, at any depth."""
+    found, stack = [], [d]
+    while stack:
+        for node in stack.pop().nodes.values():
+            if node.inner is not None:
+                found.append(node.inner)
+                stack.append(node.inner)
+    return found
+
+
+def _is_normal(d: Diagram) -> bool:
+    """normalize(d) has d's node table and wires."""
+    h = normalize(d)
+    return h.nodes == d.nodes and h._dst == d._dst
+
+
+# name -> a function building diagrams whose thunk bodies must all be normal
+BOXING_CALLS = {
+    "translate": lambda: [_open(NESTED)],
+    "translate_top": lambda: [translate_top(parse(NESTED)).diagram],
+    "curry": lambda: [curry(1, _open(BODY))],
+    "generator": lambda: [generator("thunk", arity=1, cap=1, inner=_open(BODY))],
+    "plug_diagram": lambda: [plug_diagram(_hole_in_body(), _open(BODY))],
+    "comm_step": lambda: [td.diagram for td in comm_step(_top())],
+}
+
+
+class TestNormalBodies:
+    """A thunk body is boxed in normal form, so normalize never has to descend into it."""
+
+    @pytest.mark.parametrize("name", sorted(BOXING_CALLS))
+    def test_every_body_is_normal(self, name):
+        bodies = [b for d in BOXING_CALLS[name]() for b in _bodies(d)]
+        assert bodies and all(_is_normal(b) for b in bodies)
+
+    def test_raw_bodies_are_not_normal(self):
+        # the boxing calls above are only a check if what they box is not normal
+        assert not _is_normal(_open(BODY))
 
 
 class TestValidation:
@@ -501,10 +550,10 @@ class TestColoring:
             assert signature(y) == signature(x)
             assert equal(y, x)
 
-    def test_normalizing_a_thunk_body_drops_the_cached_signature(self):
+    def test_a_boxed_body_keeps_the_cached_signature_valid(self):
         d = translate(parse("a?(x) => (0 | x!())"))
-        signature(d)  # caches the colouring of the unnormalized thunk body
-        assert signature(normalize(d)) == signature(normalize(translate(parse("a?(x) => x!()"))))
+        sig = signature(d)  # the body was boxed in normal form, so normalize changes nothing
+        assert normalize(d)._sig == sig == signature(translate(parse("a?(x) => x!()")))
 
     def test_each_mutator_drops_the_cached_signature(self):
         d = translate(parse("a!()"))
