@@ -4,8 +4,8 @@ A barb is an unguarded output on a free channel: inputs are unobservable, so
 an observer cannot tell whether a sent message was consumed.  Bisimilarity is
 the greatest symmetric relation that matches single reduction steps and
 preserves barb sets; it is computed by partition refinement over one reduction
-LTS rooted at both terms (``reduction_union``), starting from the partition
-induced by barb sets.
+LTS rooted at both terms (``opsem.reduction_union``), starting from the
+partition induced by barb sets.
 
 ``weak=True`` gives weak barbed bisimilarity, where a step may be answered
 by any number of steps and barbs are compared after any number of steps.  It
@@ -21,7 +21,7 @@ from functools import lru_cache
 from typing import Hashable, Sequence
 
 from .congruence import canonical_form
-from .opsem import LTS, successors
+from .opsem import reduction_union
 from .syntax import Input, Name, New, Output, Par, Process, Stop, par_leaves, pretty
 
 BarbSet = frozenset[Name]
@@ -61,19 +61,6 @@ def partition_refine(succ: Sequence[Sequence[int]], labels: Sequence[Hashable]) 
         if len(fresh) == len(set(blocks)):
             return nxt
         blocks = nxt
-
-
-def reduction_union(ps: Sequence[Process], max_states: int = 10_000) -> LTS:
-    """One reduction LTS rooted at every term of ps; max_states bounds all of it.
-
-    Each root is interned and closed in turn, so a state reached from
-    several roots is explored once.
-    """
-    lts = LTS(successors, max_states)
-    for p in ps:
-        lts.intern(canonical_form(p))
-        lts.close()
-    return lts
 
 
 def _saturate(succ: Sequence[Sequence[int]], labels: Sequence[BarbSet]

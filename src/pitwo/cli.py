@@ -28,10 +28,19 @@ from .syntax import ParseError, parse, pretty, to_json
 from .translate import translate, translate_top
 
 
+class _UnreadableTerm(ValueError):
+    """An ``@path`` argument names a file that cannot be read as UTF-8 text."""
+
+
 def _read_term(arg: str):
     if arg.startswith("@"):
-        with open(arg[1:], encoding="utf-8") as fh:
-            return parse(fh.read())
+        try:
+            with open(arg[1:], encoding="utf-8") as fh:
+                text = fh.read()
+        except (OSError, UnicodeDecodeError) as exc:
+            reason = getattr(exc, "strerror", None) or exc  # an OSError's text names the path
+            raise _UnreadableTerm(f"cannot read {arg[1:]}: {reason}") from None
+        return parse(text)
     return parse(arg)
 
 
@@ -119,8 +128,9 @@ def cmd_bisim(args) -> int:
 
 def cmd_translate(args) -> int:
     p = _read_term(args.term)
-    if args.top or args.comm_tokens != 1:
-        td = translate_top(p, catalysts=args.comm_tokens, instantiate=not args.open)
+    if args.top or args.comm_tokens is not None:
+        permits = 1 if args.comm_tokens is None else args.comm_tokens
+        td = translate_top(p, catalysts=permits, instantiate=not args.open)
         _diagram_output(args, td.diagram)
     else:
         _diagram_output(args, translate(p))
@@ -231,7 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = term_cmd("translate", "diagram of a term")
     sp.add_argument("--top", action="store_true", help="add permits and instantiate names")
     sp.add_argument("--open", action="store_true", help="keep free names as open ports")
-    sp.add_argument("--comm-tokens", type=_nonnegative, default=1, metavar="K")
+    sp.add_argument("--comm-tokens", type=_nonnegative, default=None, metavar="K")
     sp.add_argument("--dot", action="store_true", help="emit Graphviz DOT")
     sp = term_cmd("redexes", "diagram redexes of the top form")
     sp.add_argument("--comm-tokens", type=_nonnegative, default=1, metavar="K")
@@ -279,7 +289,7 @@ def main(argv: list[str] | None = None) -> int:
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
+    except _UnreadableTerm as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (StateBudgetError, StaleDiagramRedexError) as exc:

@@ -40,7 +40,7 @@ then delete each name or fresh source that feeds a discard.  One pass is
 enough because no step makes work for an earlier one: a normal body holds no
 apply, so splicing it makes no beta redex; par and copy trees share no wire
 type; and a deleted source-discard pair belongs to neither tree.  Tree walks
-use an explicit stack, and a diagram the pass leaves alone keeps its signature.
+use an explicit stack.
 
 ``_refine`` colours a diagram with canonical integers until the number of
 colour classes stops changing, folding every round's table into one digest;
@@ -48,17 +48,17 @@ colour classes stops changing, folding every round's table into one digest;
 Where the colouring has no ties it is a canonical labelling; where ties
 remain, ``_least_leaf`` refines it to one by individualization-refinement
 (McKay and Piperno, "Practical graph isomorphism II", 2014).  ``signature``
-hashes the certificate of that labelling and is the one result cached on a
-diagram (every mutator clears it), so diagrams are isomorphic iff their
-signatures are equal, which is what ``isomorphic`` compares.
+hashes the certificate of that labelling, so diagrams are isomorphic iff their
+signatures are equal, which is what ``isomorphic`` compares.  A diagram caches
+nothing; only values that never change keep a signature: a boxed body
+(``_body_signature``) and a top-level form (``translate.TopDiagram.sig``).
 
 The labelled graph inlines the body of each thunk with two or more captured
 inputs (``_graph``): the captured wires run from their producers straight to
 their consumers in the body, so their order never reaches the labelling and
 the exchange law holds by construction.  Any other thunk body is signed on
-its own and enters its node's colour as that signature, which stays valid
-while the body is unchanged; a thunk with at most one captured input has no
-order to forget.
+its own, once, and enters its node's colour as that signature; a thunk with
+at most one captured input has no order to forget.
 """
 
 from __future__ import annotations
@@ -68,6 +68,7 @@ import graphlib
 import hashlib
 import itertools
 import json
+import weakref
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple, Sequence, Union
 
@@ -150,8 +151,9 @@ class Node(NamedTuple):
     """A generator node, an immutable value; a thunk's body is ``inner``, in normal form.
 
     Copies of a diagram share its nodes, and through them the bodies, so a
-    body is never changed once it is in a node: to change one, build a new
-    body and replace the node (``node._replace(inner=normalize(body))``).
+    body is never changed once it is in a node, and the signature that
+    ``_body_signature`` keeps for it never goes stale.  To change a body,
+    build a new one and replace the node (``node._replace(inner=normalize(body))``).
     """
 
     kind: str
@@ -178,9 +180,8 @@ class Diagram:
     arguments; nothing mutates a diagram a caller still holds.  A copy is
     shallow: it has its own node table, wires and interface, and shares the
     immutable nodes and thunk bodies.  ``add`` boxes a body as its normal
-    form, so every body in the table is normal.  The signature is cached on
-    the diagram in ``_sig``; every mutator clears it, and code that assigns
-    ``dom``, ``cod`` or an entry of ``nodes`` directly must clear it too.
+    form, so every body in the table is normal.  A diagram caches nothing,
+    so code may assign ``dom``, ``cod`` or an entry of ``nodes`` directly.
     Two diagrams that differ only in the order of a thunk's captured inputs,
     with its body's captured domain ports permuted alike, are the same
     morphism.
@@ -193,14 +194,12 @@ class Diagram:
         self._next = 0
         self._dst: dict[Port, Port] = {}
         self._src: dict[Port, Port] = {}
-        self._sig: str | None = None
 
     # -- construction ------------------------------------------------------
 
     def add(self, kind: str, arity: int = 0, cap: int = 0, label: str = "",
             inner: "Diagram | None" = None) -> int:
         """Add a node; a thunk body ``inner`` is boxed as its normal form."""
-        self._sig = None
         nid = self._next
         self._next += 1
         if inner is not None:
@@ -210,12 +209,10 @@ class Diagram:
         return nid
 
     def add_dom(self, t: WireType) -> Port:
-        self._sig = None
         self.dom.append(t)
         return ("dom", len(self.dom) - 1)
 
     def add_cod(self, t: WireType) -> Port:
-        self._sig = None
         self.cod.append(t)
         return ("cod", len(self.cod) - 1)
 
@@ -246,19 +243,16 @@ class Diagram:
             dt = _port_table(node.kind, node.arity, node.cap)[0][dst[2]]
         if st != dt:
             raise InterfaceError(f"type mismatch on wire {src}:{st} -> {dst}:{dt}")
-        self._sig = None
         self._dst[src] = dst
         self._src[dst] = src
 
     def disconnect(self, dst: Port) -> Port:
         """Remove the wire into consumer port dst; returns its producer."""
-        self._sig = None
         src = self._src.pop(dst)
         del self._dst[src]
         return src
 
     def remove(self, nid: int) -> None:
-        self._sig = None
         node = self.nodes.pop(nid)
         ins, outs = node.ports()
         for k in range(len(ins)):
@@ -296,7 +290,6 @@ class Diagram:
         d._next = self._next
         d._dst = dict(self._dst)
         d._src = dict(self._src)
-        d._sig = self._sig
         return d
 
     def validate(self) -> None:
@@ -385,7 +378,6 @@ def generator(kind: str, arity: int = 0, cap: int = 0, label: str = "",
 
 def _splice(d: Diagram, sub: Diagram, dom_prods: list[Port], cod_cons: list[Port]) -> None:
     """Inline sub's nodes into d as they are, bodies shared, gluing its boundary to the ports."""
-    d._sig = None
     mapping: dict[int, int] = {}
     for nid in sorted(sub.nodes):
         mapping[nid] = d._next
@@ -413,7 +405,6 @@ def compose(f: Diagram, g: Diagram) -> Diagram:
     h = f.copy()
     mid_prods = [h.disconnect(("cod", k)) for k in range(len(h.cod))]
     h.cod = []
-    h._sig = None
     cod_cons = [h.add_cod(t) for t in g.cod]
     # keep the freshly added cod ports as consumer targets
     cod_ports = [("cod", k) for k in range(len(g.cod))]
@@ -593,6 +584,17 @@ _DOM, _COD = -1, -2
 _OWNER, _RESULT = -3, -4
 
 
+# Signatures of boxed bodies, which never change (see ``Node``), dropped with each body.
+_BODY_SIGNATURES: weakref.WeakKeyDictionary[Diagram, str] = weakref.WeakKeyDictionary()
+
+
+def _body_signature(body: Diagram) -> str:
+    sig = _BODY_SIGNATURES.get(body)
+    if sig is None:
+        sig = _BODY_SIGNATURES[body] = signature(body)
+    return sig
+
+
 def _graph(d: Diagram) -> tuple[dict[int, tuple], dict[int, tuple[list, list]], list]:
     """The round-0 descriptors and links that ``_refine`` takes, and each wire's ends.
 
@@ -635,7 +637,7 @@ def _graph(d: Diagram) -> tuple[dict[int, tuple], dict[int, tuple[list, list]], 
                 levels.append((body, {b: next(fresh) for b in body.nodes}, k, params + caps))
             else:
                 descs[k] = (node.kind, node.arity, node.cap, node.label,
-                            signature(body) if body is not None else "")
+                            _body_signature(body) if body is not None else "")
         # a wire into an inlined thunk is carried on by the body's level
         wires += [(end(src), end(dst)) for src, dst in g._dst.items()
                   if dst[0] != "in" or dst[1] not in inlined]
@@ -785,7 +787,7 @@ def _least_leaf(descs: dict[int, tuple], links: dict[int, tuple[list, list]],
 
 
 def signature(d: Diagram) -> str:
-    """A run-stable canonical hash, equal iff the diagrams are isomorphic; cached on d.
+    """A run-stable canonical hash, equal iff the diagrams are isomorphic.
 
     Isomorphism is up to the exchange law: the graph of ``_graph`` inlines
     each thunk body with two or more captured inputs, so the order of those
@@ -793,13 +795,11 @@ def signature(d: Diagram) -> str:
     ``_least_leaf``: where the colouring has no ties, its digest and the wires
     between coloured ends.
     """
-    if d._sig is None:
-        descs, links, wires = _graph(d)
-        digest, table = _least_leaf(descs, links, wires, _refine(descs, links))
-        # a wire's type follows from its ends: the node colours and the interface
-        payload = (tuple(str(t) for t in d.dom), tuple(str(t) for t in d.cod), digest, table)
-        d._sig = hashlib.sha256(repr(payload).encode()).hexdigest()
-    return d._sig
+    descs, links, wires = _graph(d)
+    digest, table = _least_leaf(descs, links, wires, _refine(descs, links))
+    # a wire's type follows from its ends: the node colours and the interface
+    payload = (tuple(str(t) for t in d.dom), tuple(str(t) for t in d.cod), digest, table)
+    return hashlib.sha256(repr(payload).encode()).hexdigest()
 
 
 def isomorphic(a: Diagram, b: Diagram) -> bool:

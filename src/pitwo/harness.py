@@ -10,7 +10,7 @@ the diagrammatic semantics over them, and reports any disagreement:
                  and contextual-congruence verdicts on both sides
 
 Both bisimilarity checks refine an ``opsem.LTS`` of at most 10,000 states:
-terms under reduction (``bisim.reduction_union``) and top diagrams under
+terms under reduction (``opsem.reduction_union``) and top diagrams under
 ``comm_step`` (``DiagramLTS``), whose states are told apart by ``TopDiagram``
 equality alone, never by the term side's canonical forms.
 
@@ -26,9 +26,9 @@ import time
 from dataclasses import dataclass, field
 from itertools import combinations, islice, product
 
-from .bisim import barbs, partition_refine, reduction_union
+from .bisim import barbs, partition_refine
 from .congruence import canonical_form, term_size
-from .opsem import LTS, reduce_step
+from .opsem import LTS, reduce_step, reduction_union
 from .rewrite import (_spine, apply_comm, comm_step, count_permits, find_diagram_redexes,
                       strip_permits, trace_subject)
 from .syntax import Hole, Input, Name, New, Output, Par, Process, Stop, free_names, pretty, recompose

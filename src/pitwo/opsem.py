@@ -9,8 +9,8 @@ parallel multiset, below the hoisted restriction chain.
 
 ``LTS`` builds the states reachable from interned roots under any step
 function, breadth-first and within a state budget.  Both semantics explore
-with it: terms under reduction (``reachable`` and ``bisim.reduction_union``)
-and top diagrams under ``comm_step`` (``harness.DiagramLTS``).
+with it: terms under reduction (``reduction_union``, and ``reachable`` for one
+root) and top diagrams under ``comm_step`` (``harness.DiagramLTS``).
 
 Replication does not exist in this calculus, so every reduction removes two
 prefixes and every state space is finite.
@@ -19,7 +19,7 @@ prefixes and every state space is finite.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Hashable, Iterable
+from typing import Callable, Hashable, Iterable, Sequence
 
 from .congruence import CanonicalProcess, canonical_form
 from .syntax import Input, Name, New, Output, Process, Stop, par_leaves, pretty, recompose, substitute
@@ -145,8 +145,19 @@ class LTS:
         return {"states": [pretty(s) for s in self.states], "edges": [list(e) for e in self.edges]}
 
 
+def reduction_union(ps: Sequence[Process], max_states: int = 10_000) -> LTS:
+    """One reduction LTS rooted at every term of ps; max_states bounds all of it.
+
+    Each root is interned and closed in turn, so a state reached from
+    several roots is explored once.
+    """
+    lts = LTS(successors, max_states)
+    for p in ps:
+        lts.intern(canonical_form(p))
+        lts.close()
+    return lts
+
+
 def reachable(p: Process, max_states: int = 10_000) -> LTS:
     """The reduction LTS rooted at canonical_form(p), state 0."""
-    lts = LTS(successors, max_states)
-    lts.intern(canonical_form(p))
-    return lts.close()
+    return reduction_union([p], max_states)

@@ -161,7 +161,7 @@ def strip_permits(td: TopDiagram) -> TopDiagram:
             d.disconnect(cons)
             d.remove(nid)
             d.connect(("out", d.add("stop"), 0), cons)
-    return TopDiagram(normalize(d), td.name_order, 0)
+    return TopDiagram(normalize(d), td.name_order)
 
 
 def concurrent_step(td: TopDiagram, permits: int | None = None) -> list[tuple[DiagramRedex, ...]]:
@@ -207,4 +207,4 @@ def apply_concurrent(td: TopDiagram, rs: tuple[DiagramRedex, ...]) -> TopDiagram
     d = td.diagram.copy()
     for r in rs:
         _fire_on(d, r)
-    return TopDiagram(normalize(d), td.name_order, td.catalysts)
+    return TopDiagram(normalize(d), td.name_order)

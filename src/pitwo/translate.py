@@ -15,6 +15,7 @@ name with a name-constant node, closing the domain.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from .diagram import (
@@ -27,7 +28,6 @@ from .diagram import (
     _rebuild_fanin,
     _rebuild_fanout,
     _splice,
-    isomorphic,
     normalize,
     signature,
 )
@@ -117,17 +117,17 @@ def translate(p: Process) -> Diagram:
 class TopDiagram:
     """A normalized diagram of a whole running term, permits included.
 
-    Equality is ``top_equal`` and the hash is the signature's, so a set or
-    dict of top diagrams keeps one entry per diagram-equality class.
+    The diagram is never changed, so its signature is computed once, on the
+    first read of ``sig``.  Equality is ``top_equal`` and the hash is the
+    signature's, so a set or dict of top diagrams keeps one entry per
+    diagram-equality class.
     """
 
     diagram: Diagram
     name_order: tuple[Name, ...]
-    catalysts: int
 
-    @property
+    @functools.cached_property
     def sig(self) -> str:
-        """The diagram's signature, computed on first read and cached on the diagram."""
         return signature(self.diagram)
 
     def __eq__(self, other: object) -> bool:
@@ -137,12 +137,6 @@ class TopDiagram:
 
     def __hash__(self) -> int:
         return hash(self.sig)
-
-    def __repr__(self) -> str:
-        return (
-            f"<TopDiagram permits={self.catalysts} names={[n.id for n in self.name_order]} "
-            f"{self.diagram!r}>"
-        )
 
 
 def seal(d: Diagram, names: tuple[Name, ...], catalysts: int = 1,
@@ -166,8 +160,7 @@ def seal(d: Diagram, names: tuple[Name, ...], catalysts: int = 1,
             d.disconnect(cons)
             d.connect(("out", d.add("name", label=name.id), 0), cons)
         d.dom = []
-        d._sig = None
-    return TopDiagram(normalize(d), names, catalysts)
+    return TopDiagram(normalize(d), names)
 
 
 def translate_top(p: Process, catalysts: int = 1, instantiate: bool = True) -> TopDiagram:
@@ -176,8 +169,8 @@ def translate_top(p: Process, catalysts: int = 1, instantiate: bool = True) -> T
 
 
 def top_equal(a: TopDiagram, b: TopDiagram) -> bool:
-    """Diagram equality of top-level forms: their diagrams are isomorphic."""
-    return isomorphic(a.diagram, b.diagram)
+    """Diagram equality of top-level forms: their diagrams' signatures are equal."""
+    return a.sig == b.sig
 
 
 # ---------------------------------------------------------------------------
@@ -262,7 +255,6 @@ def _plugged(d: Diagram, f: Diagram) -> Diagram | None:
         if body is not None:
             h = d.copy()
             h.nodes[nid] = node._replace(inner=normalize(body))
-            h._sig = None
             return h
     return None
 

@@ -73,6 +73,12 @@ class TestCommands:
         data = json.loads(out)
         assert data["dom"] == ["N", "N"] and data["cod"] == ["P"]
 
+    def test_translate_seals_with_the_given_permit_count(self, capsys):
+        for k in (0, 1, 2):
+            _, out = run(capsys, "--json", "translate", "x!(u)", "--comm-tokens", str(k))
+            kinds = [n["kind"] for n in json.loads(out)["nodes"]]
+            assert kinds.count("comm") == k and kinds.count("name") == 2
+
     def test_translate_dot(self, capsys):
         code, out = run(capsys, "translate", "x!(u)", "--top", "--dot")
         assert out.startswith("digraph")
@@ -152,6 +158,17 @@ class TestErrors:
 
     def test_missing_file_exit_2(self, capsys):
         assert main(["parse", "@/nonexistent/term"]) == 2
+
+    def test_directory_exit_2(self, capsys, tmp_path):
+        assert main(["parse", f"@{tmp_path}"]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_file_not_utf8_exit_2(self, capsys, tmp_path):
+        path = tmp_path / "term"
+        path.write_bytes(b"x!(\xff)")
+        assert main(["parse", f"@{path}"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_unknown_command_exit_2(self, capsys):
         assert main(["frobnicate", "0"]) == 2

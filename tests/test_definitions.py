@@ -1,6 +1,7 @@
-"""Every definition in the package is used: a guard against helpers left behind."""
+"""Every definition in the package is used, and every benchmark hook into it resolves."""
 
 import ast
+import importlib.util
 import re
 from collections import Counter
 from pathlib import Path
@@ -49,3 +50,21 @@ def test_every_import_is_used():
     unused = [f"{path.name}: {name}" for path in sorted((ROOT / "src" / "pitwo").glob("*.py"))
               if path.name != "__init__.py" for name in _unused_imports(path)]
     assert unused == []
+
+
+def test_the_benchmark_tracer_hooks_resolve():
+    # bench/tracer.py wraps pitwo functions by name; a rename would break only the benchmark
+    spec = importlib.util.spec_from_file_location("bench_tracer", ROOT / "bench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    missing = []
+    for mod_name, attr in tracer.BOUNDARIES:
+        target = importlib.import_module(f"pitwo.{mod_name}")
+        for part in attr.split("."):
+            target = getattr(target, part, None)
+        if not callable(target):
+            missing.append(f"{mod_name}.{attr}")
+    assert missing == []
+    for name in tracer.CACHED:
+        mod_name, attr = name.split(".")
+        assert hasattr(getattr(importlib.import_module(f"pitwo.{mod_name}"), attr), "cache_info"), name

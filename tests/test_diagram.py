@@ -1,10 +1,12 @@
 import functools
+import gc
 import itertools
 import os
 import random
 import subprocess
 import sys
 import time
+import weakref
 from pathlib import Path
 
 import hypothesis.strategies as st
@@ -553,9 +555,36 @@ class TestColoring:
     def test_a_boxed_body_keeps_the_cached_signature_valid(self):
         d = translate(parse("a?(x) => (0 | x!())"))
         sig = signature(d)  # the body was boxed in normal form, so normalize changes nothing
-        assert normalize(d)._sig == sig == signature(translate(parse("a?(x) => x!()")))
+        assert signature(normalize(d)) == sig == signature(translate(parse("a?(x) => x!()")))
 
-    def test_each_mutator_drops_the_cached_signature(self):
+    def test_a_top_diagram_is_signed_once(self, monkeypatch):
+        signed = []
+
+        def counted(d):
+            signed.append(d)
+            return signature(d)
+
+        td = translate_top(parse("a!(b) | b!(a)"))  # no thunk body to sign
+        for mod in (dg, sys.modules["pitwo.translate"]):  # pitwo.translate is also a function
+            monkeypatch.setattr(mod, "signature", counted)
+        hash(td)
+        hash(td)
+        assert top_equal(td, td)
+        assert signed == [td.diagram]
+        assert td.sig == signature(td.diagram)
+
+    def test_a_body_signature_is_dropped_with_its_body(self):
+        d = translate(parse("probe?(x) => x!(probe)"))
+        (body,) = [node.inner for node in d.nodes.values() if node.inner is not None]
+        signature(d)
+        assert dg._BODY_SIGNATURES[body] == signature(body)
+        alive, entries = weakref.ref(body), len(dg._BODY_SIGNATURES)
+        del d, body
+        gc.collect()
+        assert alive() is None
+        assert len(dg._BODY_SIGNATURES) < entries
+
+    def test_the_signature_follows_each_mutation(self):
         d = translate(parse("a!()"))
         sigs = [signature(d)]
         src = d.add_dom(N)

@@ -226,7 +226,7 @@ class TestContexts:
         p = parse("b!(a)")
         order = tuple(sorted(free_names(p)))
         ctx = translate_context(c, order)
-        before = signature(ctx.diagram)  # caches on the context and its thunk
+        before = signature(ctx.diagram)  # signs the context and its thunk's body
         plugged = plug_diagram(ctx, translate(p))
         fresh = plug_diagram(translate_context(c, order), translate(p))
         assert signature(plugged) == signature(fresh)
