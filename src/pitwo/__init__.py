@@ -36,7 +36,7 @@ from .opsem import (
     reduce_step,
     reduce_step_detailed,
 )
-from .bisim import barbs, bisimilar, bisimilarity_verdict, partition_refine
+from .bisim import barbs, bisimilar, bisimilarity_verdict, blocks, partition_refine
 from .diagram import Diagram, apply_ev, compose, curry, equal, normalize, tensor
 from .translate import (
     DiagramContext,

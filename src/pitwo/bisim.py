@@ -13,15 +13,18 @@ is strong bisimilarity on the saturated transition system, whose moves are
 the reflexive-transitive closure of reduction and whose labels are the weak
 barbs (the barbs of every reachable state), so the same partition refinement
 decides it.
+
+``blocks`` is the one block computation, strong or weak, for any ``opsem.LTS``
+and barb labelling: terms with ``barbs``, top diagrams with their own barbs.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Hashable, Sequence
+from typing import Callable, Hashable, Sequence
 
 from .congruence import canonical_form
-from .opsem import reduction_union
+from .opsem import LTS, reduction_union
 from .syntax import Input, Name, New, Output, Par, Process, Stop, par_leaves, pretty
 
 BarbSet = frozenset[Name]
@@ -77,6 +80,13 @@ def _saturate(succ: Sequence[Sequence[int]], labels: Sequence[BarbSet]
     return reach, [frozenset().union(*(labels[t] for t in r)) for r in reach]
 
 
+def blocks(lts: LTS, label: Callable[[Hashable], BarbSet], weak: bool = False) -> list[int]:
+    """Close lts; a block id per state under (weak) bisimilarity, label giving its barbs."""
+    lts.close()
+    labels = [label(s) for s in lts.states]
+    return partition_refine(*(_saturate(lts.succ, labels) if weak else (lts.succ, labels)))
+
+
 def bisimilar(p: Process, q: Process, max_states: int = 10_000, weak: bool = False) -> bool:
     verdict, _ = bisimilarity_verdict(p, q, max_states=max_states, weak=weak)
     return verdict
@@ -87,15 +97,13 @@ def bisimilarity_verdict(
 ) -> tuple[bool, str | None]:
     """Verdict plus, on failure, a human-readable distinguishing certificate."""
     lts = reduction_union([p, q], max_states)
-    states, succ = lts.states, lts.succ
     i, j = lts.index[canonical_form(p)], lts.index[canonical_form(q)]
-    labels = [barbs(s) for s in states]
-    blocks = partition_refine(*(_saturate(succ, labels) if weak else (succ, labels)))
-    if blocks[i] == blocks[j]:
+    ids = blocks(lts, barbs, weak)
+    if ids[i] == ids[j]:
         return True, None
     if weak:
-        return False, f"no weak bisimulation relates {pretty(states[i])} and {pretty(states[j])}"
-    return False, _certificate(states, succ, blocks, i, j, depth=4)
+        return False, f"no weak bisimulation relates {pretty(lts.states[i])} and {pretty(lts.states[j])}"
+    return False, _certificate(lts.states, lts.succ, ids, i, j, depth=4)
 
 
 def _certificate(states, succ, blocks, i, j, depth: int) -> str:

@@ -11,13 +11,14 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import sys
 
 from . import diagram as dg
 from .bisim import barbs, bisimilarity_verdict
 from .congruence import canonical_form, congruent
 from .harness import NAME_ALPHABET, VERIFIERS, DESK_SPEC, SMALL_SPEC
-from .opsem import StateBudgetError, reachable, reduce_step
+from .opsem import StateBudgetError, reachable, successors
 from .rewrite import (
     StaleDiagramRedexError,
     apply_comm,
@@ -93,7 +94,7 @@ def cmd_equiv(args) -> int:
 
 def cmd_step(args) -> int:
     p = _read_term(args.term)
-    succs = sorted(reduce_step(p), key=pretty)
+    succs = successors(p)
     text = "\n".join(pretty(s) for s in succs) if succs else "(no reductions)"
     _emit(args, text, {"term": pretty(p), "successors": [pretty(s) for s in succs]})
     return 0
@@ -217,41 +218,43 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--json", action="store_true", help="emit JSON instead of text")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def term_cmd(name: str, help_: str, two: bool = False) -> argparse.ArgumentParser:
+    def term_cmd(name: str, help_: str, handler, two: bool = False) -> argparse.ArgumentParser:
         sp = sub.add_parser(name, help=help_)
+        sp.set_defaults(handler=handler)
         sp.add_argument("term", help="a term, or @path to read one from a file")
         if two:
             sp.add_argument("other", help="second term, or @path")
         return sp
 
-    term_cmd("parse", "parse a term and print it back")
-    term_cmd("fn", "free names of a term")
-    sp = term_cmd("canon", "canonical form modulo structural congruence")
+    term_cmd("parse", "parse a term and print it back", cmd_parse)
+    term_cmd("fn", "free names of a term", cmd_fn)
+    sp = term_cmd("canon", "canonical form modulo structural congruence", cmd_canon)
     sp.add_argument("--gc-vacuous", action="store_true",
                     help="also delete restrictions whose binder is unused")
-    sp = term_cmd("equiv", "decide structural congruence", two=True)
+    sp = term_cmd("equiv", "decide structural congruence", cmd_equiv, two=True)
     sp.add_argument("--gc-vacuous", action="store_true")
-    term_cmd("step", "one-step reduction successors")
-    sp = term_cmd("run", "explore the full reduction graph")
+    term_cmd("step", "one-step reduction successors", cmd_step)
+    sp = term_cmd("run", "explore the full reduction graph", cmd_run)
     sp.add_argument("--max-states", type=_nonnegative, default=10_000)
-    term_cmd("barbs", "observable output channels")
-    sp = term_cmd("bisim", "barbed bisimilarity verdict", two=True)
+    term_cmd("barbs", "observable output channels", cmd_barbs)
+    sp = term_cmd("bisim", "barbed bisimilarity verdict", cmd_bisim, two=True)
     sp.add_argument("--max-states", type=_nonnegative, default=10_000)
     sp.add_argument("--weak", action="store_true", help="reflexive-transitive matching")
-    sp = term_cmd("translate", "diagram of a term")
+    sp = term_cmd("translate", "diagram of a term", cmd_translate)
     sp.add_argument("--top", action="store_true", help="add permits and instantiate names")
     sp.add_argument("--open", action="store_true", help="keep free names as open ports")
     sp.add_argument("--comm-tokens", type=_nonnegative, default=None, metavar="K")
     sp.add_argument("--dot", action="store_true", help="emit Graphviz DOT")
-    sp = term_cmd("redexes", "diagram redexes of the top form")
+    sp = term_cmd("redexes", "diagram redexes of the top form", cmd_redexes)
     sp.add_argument("--comm-tokens", type=_nonnegative, default=1, metavar="K")
-    sp = term_cmd("crewrite", "apply one diagram rewrite")
+    sp = term_cmd("crewrite", "apply one diagram rewrite", cmd_crewrite)
     sp.add_argument("--index", type=int, required=True, metavar="I")
     sp.add_argument("--comm-tokens", type=_nonnegative, default=1, metavar="K")
     sp.add_argument("--dot", action="store_true")
-    sp = term_cmd("concurrent", "maximal joint rewrite steps")
+    sp = term_cmd("concurrent", "maximal joint rewrite steps", cmd_concurrent)
     sp.add_argument("--comm-tokens", type=_nonnegative, default=2, metavar="K")
     sp = sub.add_parser("verify", help="run a verification suite")
+    sp.set_defaults(handler=cmd_verify)
     sp.add_argument("--lemma", required=True, choices=sorted(VERIFIERS))
     sp.add_argument("--names", type=int, default=None, metavar="N",
                     choices=range(1, len(NAME_ALPHABET) + 1),
@@ -261,23 +264,6 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-_HANDLERS = {
-    "parse": cmd_parse,
-    "fn": cmd_fn,
-    "canon": cmd_canon,
-    "equiv": cmd_equiv,
-    "step": cmd_step,
-    "run": cmd_run,
-    "barbs": cmd_barbs,
-    "bisim": cmd_bisim,
-    "translate": cmd_translate,
-    "redexes": cmd_redexes,
-    "crewrite": cmd_crewrite,
-    "concurrent": cmd_concurrent,
-    "verify": cmd_verify,
-}
-
-
 def main(argv: list[str] | None = None) -> int:
     ap = build_parser()
     try:
@@ -285,7 +271,14 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        return _HANDLERS[args.command](args)
+        code = args.handler(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader has gone: send what is still buffered to /dev/null, so
+        # the flush at exit cannot fail again, and report nothing.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2

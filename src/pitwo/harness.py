@@ -9,10 +9,10 @@ the diagrammatic semantics over them, and reports any disagreement:
   * contexts:    plugging then translating vs. translating then plugging,
                  and contextual-congruence verdicts on both sides
 
-Both bisimilarity checks refine an ``opsem.LTS`` of at most 10,000 states:
-terms under reduction (``opsem.reduction_union``) and top diagrams under
-``comm_step`` (``DiagramLTS``), whose states are told apart by ``TopDiagram``
-equality alone, never by the term side's canonical forms.
+Both bisimilarity checks take ``bisim.blocks`` of an ``opsem.LTS`` of at most
+10,000 states: terms under reduction (``opsem.reduction_union``) and top
+diagrams under ``comm_step`` (``DiagramLTS``), whose states are told apart by
+``TopDiagram`` equality alone, never by the term side's canonical forms.
 
 These are finite checks, not proofs: a pass certifies the property on every
 term (or pair, or context) within the corpus bounds.  Reports are
@@ -26,9 +26,9 @@ import time
 from dataclasses import dataclass, field
 from itertools import combinations, islice, product
 
-from .bisim import barbs, partition_refine
+from .bisim import barbs, blocks
 from .congruence import canonical_form, term_size
-from .opsem import LTS, reduce_step, reduction_union
+from .opsem import LTS, reduction_union, successors
 from .rewrite import (_spine, apply_comm, comm_step, count_permits, find_diagram_redexes,
                       strip_permits, trace_subject)
 from .syntax import Hole, Input, Name, New, Output, Par, Process, Stop, free_names, pretty, recompose
@@ -171,13 +171,14 @@ def enumerate_terms(spec: CorpusSpec = DESK_SPEC) -> list[Process]:
     return list(out)
 
 
-def enumerate_all_terms(max_size: int, alphabet: int = 2, max_arity: int = 1) -> list[Process]:
+def enumerate_all_terms(max_size: int, alphabet: int = 2) -> list[Process]:
     """Exhaustive raw AST enumeration by node count (binders share the alphabet).
 
     Unlike enumerate_terms this does not quotient by congruence; it is meant
     for validating the congruence machinery itself and for grammar round-trips.
     """
     names = tuple(Name(c) for c in NAME_ALPHABET[:alphabet])
+    max_arity = 1
     memo: dict[int, list[Process]] = {}
 
     def terms(size: int) -> list[Process]:
@@ -277,9 +278,7 @@ class DiagramLTS(LTS):
 
     def refine(self) -> list[int]:
         """Close, then give each state its block id under diagram-side bisimilarity."""
-        self.close()
-        labels = [frozenset(n.id for n in semantic_barbs(td)) for td in self.states]
-        return partition_refine(self.succ, labels)
+        return blocks(self, semantic_barbs)
 
 
 def _bisim_blocks(terms: list[Process], tops: list[TopDiagram]) -> tuple[list[int], list[int]]:
@@ -290,7 +289,7 @@ def _bisim_blocks(terms: list[Process], tops: list[TopDiagram]) -> tuple[list[in
     inputs are bisimilar on a side iff their block ids on that side are equal.
     """
     lts = reduction_union(terms)
-    syn_blocks = partition_refine(lts.succ, [barbs(s) for s in lts.states])
+    syn_blocks = blocks(lts, barbs)
     diagrams = DiagramLTS()
     roots = [diagrams.intern(td) for td in tops]
     sem_blocks = diagrams.refine()
@@ -349,7 +348,7 @@ def verify_reduction_lemma(spec: CorpusSpec = DESK_SPEC) -> VerificationReport:
     tops: dict[Process, TopDiagram] = {}
     for p in terms:
         report.checked += 1
-        ops = sorted(reduce_step(p), key=pretty)
+        ops = successors(p)
         for q in ops:
             if q not in tops:
                 tops[q] = translate_top(q, 1, True)

@@ -53,9 +53,7 @@ def decompose(p: Process) -> tuple[tuple[Name, ...], tuple[Process, ...]]:
     return tuple(binders), tuple(c for c in par_leaves(t) if not isinstance(c, Stop))
 
 
-def find_redexes(p: Process) -> list[Redex]:
-    """All sender/receiver pairs of canonical_form(p), in index order."""
-    _, comps = decompose(p)
+def _redexes(comps: tuple[Process, ...]) -> list[Redex]:
     receivers = [(ri, c) for ri, c in enumerate(comps) if isinstance(c, Input)]
     redexes = []
     for si, sender in enumerate(comps):
@@ -67,35 +65,35 @@ def find_redexes(p: Process) -> list[Redex]:
     return redexes
 
 
-def fire(p: Process, r: Redex) -> CanonicalProcess:
-    """Consume the redex's sender and receiver; the result is canonical."""
-    binders, comps = decompose(p)
-    if r.sender_index >= len(comps) or r.receiver_index >= len(comps):
-        raise StaleRedexError(f"redex {r} out of range for {pretty(p)}")
-    sender = comps[r.sender_index]
-    receiver = comps[r.receiver_index]
-    if (
-        not isinstance(sender, Output)
-        or not isinstance(receiver, Input)
-        or sender.subject != r.subject
-        or receiver.subject != r.subject
-        or len(sender.args) != r.arity
-        or len(receiver.params) != r.arity
-    ):
-        raise StaleRedexError(f"redex {r} does not match {pretty(p)}")
+def _fire(binders: tuple[Name, ...], comps: tuple[Process, ...], r: Redex) -> CanonicalProcess:
+    sender, receiver = comps[r.sender_index], comps[r.receiver_index]
     continuation = substitute(receiver.body, dict(zip(receiver.params, sender.args)))
     rest = tuple(c for i, c in enumerate(comps) if i not in (r.sender_index, r.receiver_index))
     return canonical_form(recompose(binders, rest + (continuation,)))
 
 
+def find_redexes(p: Process) -> list[Redex]:
+    """All sender/receiver pairs of canonical_form(p), in index order."""
+    return _redexes(decompose(p)[1])
+
+
+def fire(p: Process, r: Redex) -> CanonicalProcess:
+    """Consume the sender and receiver of r, a redex that find_redexes(p) finds."""
+    binders, comps = decompose(p)
+    if r not in _redexes(comps):
+        raise StaleRedexError(f"redex {r} does not match {pretty(p)}")
+    return _fire(binders, comps, r)
+
+
 def reduce_step(p: Process) -> frozenset[CanonicalProcess]:
     """Canonical successors of p, quotiented by congruence."""
-    return frozenset(fire(p, r) for r in find_redexes(p))
+    return frozenset(q for _, q in reduce_step_detailed(p))
 
 
 def reduce_step_detailed(p: Process) -> list[tuple[Redex, CanonicalProcess]]:
     """One entry per redex, before quotienting (successors may repeat)."""
-    return [(r, fire(p, r)) for r in find_redexes(p)]
+    binders, comps = decompose(p)
+    return [(r, _fire(binders, comps, r)) for r in _redexes(comps)]
 
 
 def successors(p: Process) -> list[CanonicalProcess]:

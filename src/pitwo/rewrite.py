@@ -11,8 +11,14 @@ Firing deletes the matched send/receive pair, feeds the message names and the
 receiver's continuation wire into an apply node (whose beta step then inlines
 the boxed continuation), and terminates the consumed subject branches with
 discards.  The permit survives: it enables the rewrite but is not spent.
-With k permits, up to k pairwise-disjoint redexes may fire in one parallel
-step.
+
+A redex is what ``find_diagram_redexes`` finds, and nothing else decides it:
+``apply_comm`` and ``apply_concurrent`` check their input against the finder,
+and ``comm_step`` fires what it finds without checking it again.  A joint
+step fires several redexes in one parallel step.  It is valid when each
+member's send/receive pair is found, each catalyst is a permit of the
+multiset, no two members share a send or receive node, and no two share a
+permit: with k permits, at most k disjoint redexes fire at once.
 """
 
 from __future__ import annotations
@@ -63,13 +69,18 @@ def trace_subject(d: Diagram, port: Port) -> Port:
     return port
 
 
+def _permits(d: Diagram) -> list[int]:
+    """The permit (comm) nodes of the top-level multiset, in id order."""
+    return sorted(c for c in _spine(d)[1] if d.nodes[c].kind == "comm")
+
+
 def find_diagram_redexes(td: TopDiagram) -> list[DiagramRedex]:
-    """All (send, receive, permit) matches in the top-level multiset."""
+    """All (send, receive) matches in the top-level multiset, each gated by the first permit."""
     d = td.diagram
-    _, comps = _spine(d)
-    permits = sorted(c for c in comps if d.nodes[c].kind == "comm")
+    permits = _permits(d)
     if not permits:
         return []
+    _, comps = _spine(d)
     sends = sorted(c for c in comps if d.nodes[c].kind == "send")
     recvs = sorted(c for c in comps if d.nodes[c].kind == "recv")
     redexes = []
@@ -84,31 +95,14 @@ def find_diagram_redexes(td: TopDiagram) -> list[DiagramRedex]:
     return redexes
 
 
-def _check_redex(d: Diagram, r: DiagramRedex) -> None:
-    _, comps = _spine(d)
-    if (
-        r.output_node not in d.nodes
-        or r.input_node not in d.nodes
-        or d.nodes[r.output_node].kind != "send"
-        or d.nodes[r.input_node].kind != "recv"
-        or d.nodes[r.output_node].arity != r.arity
-        or d.nodes[r.input_node].arity != r.arity
-        or r.output_node not in comps
-        or r.input_node not in comps
-        or r.catalyst not in d.nodes
-        or d.nodes[r.catalyst].kind != "comm"
-        or r.catalyst not in comps
-    ):
-        raise StaleDiagramRedexError(f"{r} does not match the diagram")
-    so = trace_subject(d, d.producer(("in", r.output_node, 0)))
-    si = trace_subject(d, d.producer(("in", r.input_node, 0)))
-    if so != si:
-        raise StaleDiagramRedexError(f"{r} subjects do not share a source")
+def _disjoint(rs: tuple[DiagramRedex, ...]) -> bool:
+    """No two redexes share a send or receive node."""
+    nodes = [x for r in rs for x in (r.output_node, r.input_node)]
+    return len(nodes) == len(set(nodes))
 
 
 def _fire_on(d: Diagram, r: DiagramRedex) -> None:
-    """Raw surgery for one redex; caller normalizes afterwards."""
-    _check_redex(d, r)
+    """Raw surgery for one redex of d, which the caller has checked; caller normalizes."""
     o, i, n = r.output_node, r.input_node, r.arity
     spine, _ = _spine(d)
     assert spine is not None, "a redex needs at least send, recv and permit"
@@ -137,6 +131,14 @@ def _fire_on(d: Diagram, r: DiagramRedex) -> None:
     _rebuild_fanin(d, kept, out_cons)
 
 
+def _fire(td: TopDiagram, rs: tuple[DiagramRedex, ...]) -> TopDiagram:
+    """Fire a valid joint step of td on a copy, then normalize once."""
+    d = td.diagram.copy()
+    for r in rs:
+        _fire_on(d, r)
+    return TopDiagram(normalize(d), td.name_order)
+
+
 def apply_comm(td: TopDiagram, r: DiagramRedex) -> TopDiagram:
     """Fire one redex; the permit survives and the result is normalized."""
     return apply_concurrent(td, (r,))
@@ -144,7 +146,7 @@ def apply_comm(td: TopDiagram, r: DiagramRedex) -> TopDiagram:
 
 def comm_step(td: TopDiagram) -> list[TopDiagram]:
     """The distinct one-step rewrites of td: the first of each diagram-equality class."""
-    return list(dict.fromkeys(apply_comm(td, r) for r in find_diagram_redexes(td)))
+    return list(dict.fromkeys(_fire(td, (r,)) for r in find_diagram_redexes(td)))
 
 
 def count_permits(td: TopDiagram) -> int:
@@ -170,41 +172,25 @@ def concurrent_step(td: TopDiagram, permits: int | None = None) -> list[tuple[Di
     Each set fires jointly in one parallel step; every member is assigned a
     distinct permit node.  With one permit this degenerates to single steps.
     """
-    d = td.diagram
-    _, comps = _spine(d)
-    permit_ids = sorted(c for c in comps if d.nodes[c].kind == "comm")
-    k = min(permits if permits is not None else len(permit_ids), len(permit_ids))
+    permit_ids = _permits(td.diagram)
+    k = len(permit_ids) if permits is None else min(permits, len(permit_ids))
     redexes = find_diagram_redexes(td)
-    if not redexes or k == 0:
-        return []
-
-    def disjoint(rs: tuple[DiagramRedex, ...]) -> bool:
-        nodes = [x for r in rs for x in (r.output_node, r.input_node)]
-        return len(nodes) == len(set(nodes))
-
-    candidates = []
-    for size in range(1, k + 1):
-        for combo in combinations(redexes, size):
-            if disjoint(combo):
-                candidates.append(combo)
-    maximal = []
-    for combo in candidates:
-        extendable = any(
-            len(combo) < k and disjoint(combo + (r,))
-            for r in redexes
-            if r not in combo
-        )
-        if not extendable:
-            assigned = tuple(
-                replace(r, catalyst=permit_ids[j]) for j, r in enumerate(combo)
-            )
-            maximal.append(assigned)
-    return maximal
+    joint = [rs for size in range(1, k + 1) for rs in combinations(redexes, size) if _disjoint(rs)]
+    maximal = (rs for rs in joint
+               if len(rs) == k or not any(_disjoint(rs + (r,)) for r in redexes if r not in rs))
+    return [tuple(replace(r, catalyst=c) for r, c in zip(rs, permit_ids)) for rs in maximal]
 
 
 def apply_concurrent(td: TopDiagram, rs: tuple[DiagramRedex, ...]) -> TopDiagram:
-    """Fire a set of disjoint redexes jointly, then normalize once."""
-    d = td.diagram.copy()
-    for r in rs:
-        _fire_on(d, r)
-    return TopDiagram(normalize(d), td.name_order)
+    """Fire a joint step of td, then normalize once.
+
+    Raises ``StaleDiagramRedexError`` unless rs is a joint step by the rule in
+    the module docstring.
+    """
+    found = {(r.output_node, r.input_node, r.arity) for r in find_diagram_redexes(td)}
+    permits = _permits(td.diagram)
+    if not (all((r.output_node, r.input_node, r.arity) in found and r.catalyst in permits
+                for r in rs)
+            and _disjoint(rs) and len({r.catalyst for r in rs}) == len(rs)):
+        raise StaleDiagramRedexError(f"{rs} is not a joint step of the diagram")
+    return _fire(td, rs)

@@ -210,13 +210,13 @@ def plug_term(c: Process, p: Process) -> Process:
 class DiagramContext:
     """A diagram with one hole slot expecting a plug of interface N^k -> P.
 
-    The hole's k inputs are labeled by ``plug_names`` in order; plugging a
-    diagram whose domain lists those names in the same order reproduces the
-    translation of the syntactically plugged term.
+    The hole's k inputs carry the plug names given to ``translate_context``,
+    in order; plugging a diagram whose domain lists those names in the same
+    order reproduces the translation of the syntactically plugged term.
+    ``dom_names`` are the names of the context's own domain.
     """
 
     diagram: Diagram
-    plug_names: tuple[Name, ...]
     dom_names: tuple[Name, ...]
 
 
@@ -224,7 +224,7 @@ def translate_context(c: Process, plug_names: tuple[Name, ...]) -> DiagramContex
     if count_holes(c) != 1:
         raise ValueError(f"context must contain exactly one hole, found {count_holes(c)}")
     d, dom_names = _open(c, plug_names)
-    return DiagramContext(d, plug_names, dom_names)
+    return DiagramContext(d, dom_names)
 
 
 def _plugged(d: Diagram, f: Diagram) -> Diagram | None:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import random
 from collections import Counter
+from functools import reduce
 from itertools import permutations
 
 import hypothesis.strategies as st
@@ -79,6 +80,13 @@ def process_st(max_leaves: int = 6):
         )
 
     return st.recursive(base, extend, max_leaves=max_leaves)
+
+
+def soup_st(max_pairs: int = 3):
+    """Parallel sender/receiver pairs on two channels: every soup reduces, most in several ways."""
+    pair = st.builds(lambda s, a, body: Par(Output(s, (a,)), Input(s, (Name("y"),), body)),
+                     st.sampled_from(POOL[:2]), name_st(), process_st(max_leaves=3))
+    return st.lists(pair, min_size=1, max_size=max_pairs).map(lambda ps: reduce(Par, ps))
 
 
 def random_term(rng: random.Random, size: int, names=POOL) -> Process:

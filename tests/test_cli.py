@@ -225,6 +225,20 @@ class TestErrors:
         assert count_holes(c) == 1
         assert plug_term(c, p) is Par(p, p)
 
+    def test_closed_stdout_exits_quietly(self):
+        # stdout is a pipe whose reader has already gone
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        for argv in (["parse", "x!(u)"], ["--json", "translate", "x!(u)"]):
+            r, w = os.pipe()
+            os.close(r)
+            try:
+                proc = subprocess.run([sys.executable, "-m", "pitwo.cli", *argv], env=env,
+                                      stdout=w, stderr=subprocess.PIPE, text=True, timeout=120)
+            finally:
+                os.close(w)
+            assert proc.returncode == 1, argv
+            assert proc.stderr == "", argv
+
     def test_outputs_reparse_to_congruent_terms(self, capsys):
         code = main(["--json", "step", "(new x)(x?(v) => 0 | x!(a))"])
         data = json.loads(capsys.readouterr().out)

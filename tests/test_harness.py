@@ -1,7 +1,10 @@
+from itertools import combinations
+
 import pytest
 
+from pitwo.bisim import barbs, blocks
 from pitwo.congruence import canonical_form
-from pitwo.opsem import StateBudgetError
+from pitwo.opsem import StateBudgetError, reduction_union
 from pitwo.harness import (
     CorpusSpec,
     DESK_SPEC,
@@ -146,6 +149,21 @@ class TestDiagramLTS:
         lts.intern(translate_top(parse("x?(y) => 0 | x!(u)"), 1, True))
         with pytest.raises(StateBudgetError):
             lts.refine()
+
+    @pytest.mark.parametrize("weak", [False, True])
+    def test_blocks_agree_with_the_term_side(self, weak):
+        terms = enumerate_terms(SMALL_SPEC)
+        lts = reduction_union(terms)
+        syn_blocks = blocks(lts, barbs, weak)
+        syn = [syn_blocks[lts.index[p]] for p in terms]
+        diagrams = DiagramLTS()
+        roots = [diagrams.intern(translate_top(p, 1, True)) for p in terms]
+        sem_blocks = blocks(diagrams, semantic_barbs, weak)
+        sem = [sem_blocks[r] for r in roots]
+        disagree = [(pretty(terms[i]), pretty(terms[j]))
+                    for i, j in combinations(range(len(terms)), 2)
+                    if (syn[i] == syn[j]) != (sem[i] == sem[j])]
+        assert disagree == []
 
     def test_seal_of_translation_matches_translate_top(self):
         p = parse("x?(y) => y!() | x!(u)")

@@ -1,7 +1,10 @@
+from dataclasses import replace
+
 import pytest
+import hypothesis.strategies as st
 from hypothesis import given, settings
 
-from conftest import naive_reduce_step, process_st
+from conftest import naive_reduce_step, process_st, soup_st
 from pitwo.congruence import canonical_form
 from pitwo.opsem import (
     Redex,
@@ -60,6 +63,19 @@ class TestFire:
             fire(p, Redex(Name("x"), 5, 0, 1))
         with pytest.raises(StaleRedexError):
             fire(p, Redex(Name("z"), 1, 0, 1))
+
+    def test_changing_any_field_of_a_found_redex_is_stale(self):
+        # negative indices count from the end in Python; they name no redex here
+        p = parse("x?(y) => y!() | x!(u) | z!(u)")
+        (r,) = find_redexes(p)
+        n = 3  # components: the input and the two outputs
+        wrong = [replace(r, subject=Name(c)) for c in "uyz"]
+        wrong += [replace(r, arity=a) for a in (0, 2)]
+        for field in ("sender_index", "receiver_index"):
+            wrong += [replace(r, **{field: i}) for i in range(-n, n + 1) if i != getattr(r, field)]
+        for bad in wrong:
+            with pytest.raises(StaleRedexError):
+                fire(p, bad)
 
 
 class TestReduceStep:
@@ -129,6 +145,11 @@ class TestProperties:
         base = reduce_step(p)
         for variant in congruence_class_terms(p)[:12]:
             assert reduce_step(variant) == base
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.one_of(process_st(max_leaves=5), soup_st()))
+    def test_detailed_step_fires_each_found_redex(self, p):
+        assert reduce_step_detailed(p) == [(r, fire(p, r)) for r in find_redexes(p)]
 
     @settings(max_examples=80, deadline=None)
     @given(process_st(max_leaves=5))

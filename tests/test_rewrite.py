@@ -1,7 +1,10 @@
+from dataclasses import replace
+
 import pytest
+import hypothesis.strategies as st
 from hypothesis import given, settings
 
-from conftest import process_st
+from conftest import process_st, soup_st
 from pitwo.diagram import Diagram
 from pitwo.opsem import reduce_step
 from pitwo.rewrite import (
@@ -148,6 +151,57 @@ class TestConcurrent:
         td = translate_top(RACE, 2, True)
         steps = concurrent_step(td, 2)
         assert all(len(s) == 1 for s in steps)
+
+
+class TestJointStepRule:
+    """apply_concurrent fires only sets of found, node-disjoint redexes with distinct permits."""
+
+    def test_one_permit_cannot_gate_two_disjoint_redexes(self):
+        td = translate_top(SOUP, 1, True)
+        rs = tuple(find_diagram_redexes(td))
+        assert len(rs) == 2
+        with pytest.raises(StaleDiagramRedexError):
+            apply_concurrent(td, rs)
+
+    def test_two_redexes_naming_one_permit_rejected(self):
+        td = translate_top(SOUP, 2, True)
+        rs = tuple(find_diagram_redexes(td))
+        assert len(rs) == 2 and rs[0].catalyst == rs[1].catalyst
+        with pytest.raises(StaleDiagramRedexError):
+            apply_concurrent(td, rs)
+
+    def test_catalyst_must_be_a_permit(self):
+        td = translate_top(SOUP, 2, True)
+        (step,) = concurrent_step(td, 2)
+        bad = (step[0], replace(step[1], catalyst=step[1].output_node))
+        with pytest.raises(StaleDiagramRedexError):
+            apply_concurrent(td, bad)
+
+    def test_redexes_sharing_a_send_rejected(self):
+        td = translate_top(RACE, 2, True)
+        a, b = find_diagram_redexes(td)
+        assert a.output_node == b.output_node
+        p0, p1 = sorted(n for n, node in td.diagram.nodes.items() if node.kind == "comm")
+        with pytest.raises(StaleDiagramRedexError):
+            apply_concurrent(td, (replace(a, catalyst=p0), replace(b, catalyst=p1)))
+
+    def test_changing_any_field_of_a_found_redex_is_stale(self):
+        td = top("x?(y) => y!() | x!(u)")
+        (r,) = find_diagram_redexes(td)
+        wrong = [replace(r, arity=r.arity + 1), replace(r, arity=r.arity - 1)]
+        for field in ("output_node", "input_node", "catalyst"):
+            wrong += [replace(r, **{field: nid}) for nid in [*td.diagram.nodes, 999]
+                      if nid != getattr(r, field)]
+        for bad in wrong:
+            with pytest.raises(StaleDiagramRedexError):
+                apply_comm(td, bad)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.one_of(process_st(max_leaves=5), soup_st()))
+    def test_every_concurrent_step_is_accepted(self, p):
+        td = translate_top(p, 2, True)
+        for rs in concurrent_step(td, 2):
+            apply_concurrent(td, rs)
 
 
 def assert_normal(d: Diagram) -> None:
