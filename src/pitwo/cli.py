@@ -56,7 +56,7 @@ def _diagram_output(args, d) -> None:
     if getattr(args, "dot", False):
         print(dg.to_dot(d))
     elif args.json:
-        print(json.dumps(dg.to_json(d), indent=2, sort_keys=True))
+        print(dg.dumps(d))
     else:
         print(repr(d))
         print(dg.dumps(d))

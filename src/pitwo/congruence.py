@@ -33,6 +33,7 @@ from __future__ import annotations
 import weakref
 from functools import lru_cache
 from operator import itemgetter
+from typing import Iterator
 
 from .syntax import (
     Input,
@@ -46,6 +47,7 @@ from .syntax import (
     _sref,
     free_names,
     fresh_name,
+    fresh_names,
     recompose,
     substitute,
 )
@@ -269,22 +271,7 @@ def _skeleton(p: Process, env: dict[str, tuple], depth: int, gc: bool,
     return ("level", k, tuple(sorted((*const, *best))))
 
 
-class _Namer:
-    """Deterministic binder labels n0, n1, ... skipping the free names."""
-
-    def __init__(self, avoid: frozenset[Name]) -> None:
-        self.taken = {n.id for n in avoid}
-        self.i = 0
-
-    def __call__(self) -> Name:
-        # Labels only grow, so the first free label never lies below the last.
-        while f"n{self.i}" in self.taken:
-            self.i += 1
-        self.i += 1
-        return Name(f"n{self.i - 1}")
-
-
-def _rebuild(skel: tuple, stack: list[Name], namer: _Namer) -> Process:
+def _rebuild(skel: tuple, stack: list[Name], namer: Iterator[Name]) -> Process:
     tag = skel[0]
     if tag == "stop":
         return Stop()
@@ -293,11 +280,11 @@ def _rebuild(skel: tuple, stack: list[Name], namer: _Namer) -> Process:
         return Output(_unref(subj, stack), tuple(_unref(a, stack) for a in args))
     if tag == "in":
         _, subj, n, body = skel
-        params = [namer() for _ in range(n)]
+        params = [next(namer) for _ in range(n)]
         return Input(_unref(subj, stack), tuple(params), _rebuild(body, stack + params, namer))
     if tag == "level":
         _, k, comps = skel
-        binders = [namer() for _ in range(k)]
+        binders = [next(namer) for _ in range(k)]
         stack2 = stack + binders
         return recompose(binders, [_rebuild(c, stack2, namer) for c in comps])
     raise ValueError(f"bad skeleton tag: {tag!r}")
@@ -312,7 +299,7 @@ def _unref(ref: tuple, stack: list[Name]) -> Name:
 
 def _canonical_form(p: Process, gc_vacuous: bool) -> CanonicalProcess:
     """The canonical form of p, computed from scratch."""
-    return _rebuild(_skeleton(p, {}, 0, gc_vacuous, {}), [], _Namer(free_names(p)))
+    return _rebuild(_skeleton(p, {}, 0, gc_vacuous, {}), [], fresh_names(free_names(p)))
 
 
 # The canonical forms computed so far, per value of gc_vacuous (see the module

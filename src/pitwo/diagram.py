@@ -32,6 +32,9 @@ changed: ``Diagram.add`` stores the normal form of the body it is given, and
 ``_splice`` moves nodes into a diagram as they are, without ``add``.  Copies
 of a diagram share their nodes and bodies, so every copy is shallow.  Code
 that needs a changed body replaces the node with one boxing its normal form.
+Every rewriting step (a beta step, plugging a hole, firing a redex) is
+``_replace_nodes``: it removes the matched nodes and splices the rule's
+right-hand side into the wire ends they met.
 
 Normalization is one ordered pass over one copy, and never descends into a
 body: fire each apply fed by a thunk, rebuild each maximal par tree as one
@@ -252,14 +255,6 @@ class Diagram:
         del self._dst[src]
         return src
 
-    def remove(self, nid: int) -> None:
-        node = self.nodes.pop(nid)
-        ins, outs = node.ports()
-        for k in range(len(ins)):
-            assert ("in", nid, k) not in self._src, "removing a wired node"
-        for k in range(len(outs)):
-            assert ("out", nid, k) not in self._dst, "removing a wired node"
-
     # -- queries -----------------------------------------------------------
 
     def producer(self, dst: Port) -> Port:
@@ -405,10 +400,7 @@ def compose(f: Diagram, g: Diagram) -> Diagram:
     h = f.copy()
     mid_prods = [h.disconnect(("cod", k)) for k in range(len(h.cod))]
     h.cod = []
-    cod_cons = [h.add_cod(t) for t in g.cod]
-    # keep the freshly added cod ports as consumer targets
-    cod_ports = [("cod", k) for k in range(len(g.cod))]
-    _splice(h, g, mid_prods, cod_ports)
+    _splice(h, g, mid_prods, [h.add_cod(t) for t in g.cod])
     return h
 
 
@@ -460,7 +452,19 @@ def _detach(d: Diagram, nid: int) -> None:
     for p in d.out_ports(nid):
         if p in d._dst:
             d.disconnect(d.consumer(p))
-    d.remove(nid)
+    del d.nodes[nid]
+
+
+def _replace_nodes(d: Diagram, nids: Sequence[int], rule: Diagram,
+                   prods: list[Port], cons: list[Port]) -> None:
+    """One rewriting step in place: remove the nodes nids and splice rule into their boundary.
+
+    ``prods`` feed rule's domain and ``cons`` take its codomain; they are the
+    wire ends the removed nodes met, which the caller gathers before the call.
+    """
+    for nid in nids:
+        _detach(d, nid)
+    _splice(d, rule, prods, cons)
 
 
 def _fire_betas(d: Diagram) -> None:
@@ -473,10 +477,8 @@ def _fire_betas(d: Diagram) -> None:
         tnode = d.nodes[t]
         arg_prods = [d.producer(("in", nid, 1 + i)) for i in range(d.nodes[nid].arity)]
         cap_prods = [d.producer(("in", t, j)) for j in range(tnode.cap)]
-        out_cons = d.consumer(("out", nid, 0))
-        _detach(d, nid)
-        _detach(d, t)
-        _splice(d, tnode.inner, arg_prods + cap_prods, [out_cons])
+        _replace_nodes(d, (nid, t), tnode.inner, arg_prods + cap_prods,
+                       [d.consumer(("out", nid, 0))])
 
 
 def _rebuild_fanin(d: Diagram, prods: list[Port], out_cons: Port) -> None:
@@ -832,10 +834,6 @@ def _export_end(ids: dict[int, int], port: Port) -> list:
     return [port[0], ids[port[1]], port[2]]
 
 
-def _export_wires(d: Diagram, ids: dict[int, int]) -> list[tuple[Port, Port]]:
-    return sorted(d.wires(), key=lambda w: (_export_end(ids, w[0]), _export_end(ids, w[1])))
-
-
 def to_json(d: Diagram) -> dict:
     ids = _stable_ids(d)
     nodes = []
@@ -851,16 +849,13 @@ def to_json(d: Diagram) -> dict:
         if node.inner is not None:
             entry["inner"] = to_json(node.inner)
         nodes.append(entry)
-    wires = [
-        {"from": _export_end(ids, src), "to": _export_end(ids, dst),
-         "type": str(d.port_type(src))}
-        for src, dst in _export_wires(d, ids)
-    ]
+    wires = [{"from": _export_end(ids, src), "to": _export_end(ids, dst),
+              "type": str(d.port_type(src))} for src, dst in d.wires()]
     return {
         "dom": [str(t) for t in d.dom],
         "cod": [str(t) for t in d.cod],
         "nodes": nodes,
-        "wires": wires,
+        "wires": sorted(wires, key=lambda w: (w["from"], w["to"])),
     }
 
 
@@ -872,33 +867,25 @@ _DOT_LABELS = {
 
 
 def to_dot(d: Diagram) -> str:
-    ids = _stable_ids(d)
+    """The DOT rendering of ``to_json(d)``: its node ids, labels and wires."""
+    data = to_json(d)
     lines = ["digraph diagram {", "  rankdir=TB;"]
-    for k in range(len(d.dom)):
-        lines.append(f'  dom{k} [shape=point, xlabel="dom{k}"];')
-    for k in range(len(d.cod)):
-        lines.append(f'  cod{k} [shape=point, xlabel="cod{k}"];')
-    for nid in sorted(d.nodes, key=lambda n: ids[n]):
-        node = d.nodes[nid]
-        base = _DOT_LABELS.get(node.kind, node.kind)
-        label = base
-        if node.kind in ("send", "recv", "apply", "thunk") and node.arity is not None:
-            label = f"{base}{node.arity}"
-        if node.kind == "name":
-            label = node.label
-        if node.kind == "thunk" and node.inner is not None:
-            label += f" [{len(node.inner.nodes)} inner]"
-        lines.append(f'  n{ids[nid]} [label="{label}", shape=ellipse];')
+    lines += [f'  dom{k} [shape=point, xlabel="dom{k}"];' for k in range(len(data["dom"]))]
+    lines += [f'  cod{k} [shape=point, xlabel="cod{k}"];' for k in range(len(data["cod"]))]
+    for node in data["nodes"]:
+        kind = node["kind"]
+        label = node.get("label", "") if kind == "name" else _DOT_LABELS[kind]
+        if kind in ("send", "recv", "apply", "thunk"):
+            label += str(node.get("arity", 0))
+        if "inner" in node:
+            label += f' [{len(node["inner"]["nodes"])} inner]'
+        lines.append(f'  n{node["id"]} [label="{label}", shape=ellipse];')
 
-    def end(port: Port) -> str:
-        if port[0] == "dom":
-            return f"dom{port[1]}"
-        if port[0] == "cod":
-            return f"cod{port[1]}"
-        return f"n{ids[port[1]]}"
+    def end(e: list) -> str:
+        return f"n{e[1]}" if e[0] in ("in", "out") else f"{e[0]}{e[1]}"
 
-    for src, dst in _export_wires(d, ids):
-        lines.append(f'  {end(src)} -> {end(dst)} [label="{d.port_type(src)}"];')
+    lines += [f'  {end(w["from"])} -> {end(w["to"])} [label="{w["type"]}"];'
+              for w in data["wires"]]
     lines.append("}")
     return "\n".join(lines)
 

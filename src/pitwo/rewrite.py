@@ -7,10 +7,14 @@ fan-outs to one shared name source, together with a communication permit
 how many prefixes match: the permit is the control mechanism that keeps the
 eager rewriting in step with the calculus.
 
-Firing deletes the matched send/receive pair, feeds the message names and the
-receiver's continuation wire into an apply node (whose beta step then inlines
-the boxed continuation), and terminates the consumed subject branches with
-discards.  The permit survives: it enables the rewrite but is not spent.
+Firing is one rewriting step (``diagram._replace_nodes``): the matched
+send/receive pair is removed and the comm rule's right-hand side is spliced
+into its boundary.  That right-hand side (``_comm_rule``) ends both subject
+wires in discards, applies the receiver's continuation to the message names
+in the send's slot of the multiset (the beta step of normalization then
+inlines the boxed continuation), and puts a stop in the receive's slot.  The
+rest of the multiset, the permit included, is left alone: the permit
+enables the rewrite but is not spent.
 
 A redex is what ``find_diagram_redexes`` finds, and nothing else decides it:
 ``apply_comm`` and ``apply_concurrent`` check their input against the finder,
@@ -23,10 +27,11 @@ permit: with k permits, at most k disjoint redexes fire at once.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, replace
 from itertools import combinations
 
-from .diagram import Diagram, Port, _detach, _rebuild_fanin, normalize
+from .diagram import Diagram, Port, _replace_nodes, generator, normalize, tensor
 from .translate import TopDiagram
 
 
@@ -101,34 +106,25 @@ def _disjoint(rs: tuple[DiagramRedex, ...]) -> bool:
     return len(nodes) == len(set(nodes))
 
 
+@functools.cache
+def _comm_rule(n: int) -> Diagram:
+    """The comm rule's right-hand side at arity n: N.N.(N^n -o P).N^n -> P.P.
+
+    Its domain takes the send's and the receive's subjects, the continuation
+    and the message names; its codomain fills the send's and the receive's
+    slots of the multiset.
+    """
+    return tensor(tensor(tensor(generator("discard"), generator("discard")),
+                         generator("apply", arity=n)), generator("stop"))
+
+
 def _fire_on(d: Diagram, r: DiagramRedex) -> None:
-    """Raw surgery for one redex of d, which the caller has checked; caller normalizes."""
-    o, i, n = r.output_node, r.input_node, r.arity
-    spine, _ = _spine(d)
-    assert spine is not None, "a redex needs at least send, recv and permit"
-
-    hom_prod = d.producer(("in", i, 1))
-    arg_prods = [d.producer(("in", o, 1 + t)) for t in range(n)]
-    subj_o = d.producer(("in", o, 0))
-    subj_i = d.producer(("in", i, 0))
-    # the remaining spine components, without the pair's outputs
-    kept = [p for p in map(d.producer, d.in_ports(spine))
-            if p not in (("out", o, 0), ("out", i, 0))]
-    out_cons = d.consumer(("out", spine, 0))
-    for nid in (o, i, spine):
-        _detach(d, nid)
-
-    # the consumed subject branches end in discards (pruned by normalization)
-    for subj in (subj_o, subj_i):
-        dd = d.add("discard")
-        d.connect(subj, ("in", dd, 0))
-
-    ev = d.add("apply", arity=n)
-    d.connect(hom_prod, ("in", ev, 0))
-    for t, pr in enumerate(arg_prods):
-        d.connect(pr, ("in", ev, 1 + t))
-    kept.append(("out", ev, 0))
-    _rebuild_fanin(d, kept, out_cons)
+    """Rewrite one redex of d in place, which the caller has checked; caller normalizes."""
+    o, i = r.output_node, r.input_node
+    prods = [d.producer(("in", o, 0)), d.producer(("in", i, 0)), d.producer(("in", i, 1)),
+             *(d.producer(("in", o, 1 + t)) for t in range(r.arity))]
+    cons = [d.consumer(("out", o, 0)), d.consumer(("out", i, 0))]
+    _replace_nodes(d, (o, i), _comm_rule(r.arity), prods, cons)
 
 
 def _fire(td: TopDiagram, rs: tuple[DiagramRedex, ...]) -> TopDiagram:
@@ -153,16 +149,16 @@ def count_permits(td: TopDiagram) -> int:
     return sum(1 for node in td.diagram.nodes.values() if node.kind == "comm")
 
 
+_STOP = generator("stop")
+
+
 def strip_permits(td: TopDiagram) -> TopDiagram:
     """A copy of td with every communication permit removed (for gating tests)."""
     d = td.diagram.copy()
     for nid in sorted(d.nodes):
         if d.nodes[nid].kind == "comm":
             # an inert stop takes the permit's place; normalization drops it
-            cons = d.consumer(("out", nid, 0))
-            d.disconnect(cons)
-            d.remove(nid)
-            d.connect(("out", d.add("stop"), 0), cons)
+            _replace_nodes(d, (nid,), _STOP, [], [d.consumer(("out", nid, 0))])
     return TopDiagram(normalize(d), td.name_order)
 
 

@@ -17,7 +17,8 @@ import re
 import weakref
 from dataclasses import FrozenInstanceError, dataclass
 from functools import lru_cache, total_ordering
-from typing import Callable, Iterable, Mapping, Sequence, TypeVar, Union
+from itertools import count
+from typing import Callable, Iterable, Iterator, Mapping, Sequence, TypeVar, Union
 
 _NAME_RE = re.compile(r"[a-zA-Z][a-zA-Z0-9_]*\Z")
 _RESERVED = frozenset({"new"})
@@ -301,13 +302,15 @@ def all_names(p: Process) -> frozenset[Name]:
     raise TypeError(f"not a process: {p!r}")
 
 
-def fresh_name(avoid: Iterable[Name]) -> Name:
-    """The first name in the fixed enumeration n0, n1, ... not in avoid."""
+def fresh_names(avoid: Iterable[Name]) -> Iterator[Name]:
+    """The names of the fixed enumeration n0, n1, ... that are not in avoid, in order."""
     taken = {n.id for n in avoid}
-    i = 0
-    while f"n{i}" in taken:
-        i += 1
-    return Name(f"n{i}")
+    return (Name(f"n{i}") for i in count() if f"n{i}" not in taken)
+
+
+def fresh_name(avoid: Iterable[Name]) -> Name:
+    """The first name of ``fresh_names(avoid)``."""
+    return next(fresh_names(avoid))
 
 
 # Environments are keyed by name id: a string hashes in C, a Name through a

@@ -24,10 +24,9 @@ from .diagram import (
     N,
     P,
     Port,
-    _detach,
     _rebuild_fanin,
     _rebuild_fanout,
-    _splice,
+    _replace_nodes,
     normalize,
     signature,
 )
@@ -118,9 +117,11 @@ class TopDiagram:
     """A normalized diagram of a whole running term, permits included.
 
     The diagram is never changed, so its signature is computed once, on the
-    first read of ``sig``.  Equality is ``top_equal`` and the hash is the
-    signature's, so a set or dict of top diagrams keeps one entry per
-    diagram-equality class.
+    first read of ``sig``.  An open form's domain ports stand for the names
+    of ``name_order``, so its ``sig`` covers their ids too; an instantiated
+    form has an empty domain, and its ``sig`` is its diagram's signature.
+    Equality is ``top_equal`` and the hash is the ``sig``'s, so a set or dict
+    of top diagrams keeps one entry per diagram-equality class.
     """
 
     diagram: Diagram
@@ -128,7 +129,10 @@ class TopDiagram:
 
     @functools.cached_property
     def sig(self) -> str:
-        return signature(self.diagram)
+        sig = signature(self.diagram)
+        if self.diagram.dom:
+            sig += " " + " ".join(name.id for name in self.name_order)
+        return sig
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TopDiagram):
@@ -169,7 +173,7 @@ def translate_top(p: Process, catalysts: int = 1, instantiate: bool = True) -> T
 
 
 def top_equal(a: TopDiagram, b: TopDiagram) -> bool:
-    """Diagram equality of top-level forms: their diagrams' signatures are equal."""
+    """Diagram equality of top-level forms: equal signatures, and equal domain names if open."""
     return a.sig == b.sig
 
 
@@ -245,9 +249,7 @@ def _plugged(d: Diagram, f: Diagram) -> Diagram | None:
             )
         h = d.copy()
         prods = [h.producer(("in", nid, j)) for j in range(k)]
-        out_cons = h.consumer(("out", nid, 0))
-        _detach(h, nid)
-        _splice(h, f, prods, [out_cons])
+        _replace_nodes(h, (nid,), f, prods, [h.consumer(("out", nid, 0))])
         return h
     for nid in sorted(d.nodes):
         node = d.nodes[nid]

@@ -27,7 +27,6 @@ settings.load_profile("pitwo")
 
 from pitwo.bisim import barbs, reduction_union
 from pitwo.congruence import (
-    _Namer,
     _axiom_neighbors,
     _rebuild,
     alpha_key,
@@ -46,6 +45,7 @@ from pitwo.syntax import (
     Stop,
     all_names,
     free_names,
+    fresh_names,
     pretty,
     substitute,
 )
@@ -216,7 +216,7 @@ def _naive_skeleton(p: Process, env: dict[Name, int], depth: int, gensym: _Gensy
 
 def naive_canonical_form(p: Process, gc_vacuous: bool = False) -> Process:
     gensym = _Gensym({n.id for n in all_names(p)})
-    return _rebuild(_naive_skeleton(p, {}, 0, gensym, gc_vacuous), [], _Namer(free_names(p)))
+    return _rebuild(_naive_skeleton(p, {}, 0, gensym, gc_vacuous), [], fresh_names(free_names(p)))
 
 
 # ---------------------------------------------------------------------------

@@ -5,11 +5,12 @@ import hypothesis.strategies as st
 from hypothesis import given, settings
 
 from conftest import process_st, soup_st
-from pitwo.diagram import Diagram
-from pitwo.opsem import reduce_step
+from pitwo.diagram import Diagram, HomT, N, P
+from pitwo.opsem import reduce_step, successors
 from pitwo.rewrite import (
     DiagramRedex,
     StaleDiagramRedexError,
+    _comm_rule,
     apply_comm,
     apply_concurrent,
     comm_step,
@@ -120,6 +121,22 @@ class TestCommStep:
         for e in expected:
             assert any(top_equal(e, c) for c in classes)
 
+    @pytest.mark.parametrize("text", [
+        "x?(y, z) => y!(z) | x!(a, b)",
+        "x?(y, z, w) => y!(z, w) | x!(a, b, c)",
+        "(new n)(x?(y, z) => z!(y) | x!(n, b))",
+    ])
+    def test_messages_keep_their_order(self, text):
+        # the corpora send at most one name, so only these terms fix the order
+        p = parse(text)
+        assert {translate_top(q) for q in successors(p)} == set(comm_step(translate_top(p)))
+
+    @pytest.mark.parametrize("n", range(4))
+    def test_comm_rule_interface(self, n):
+        rule = _comm_rule(n)
+        rule.validate()
+        assert rule.dom == [N, N, HomT(n), *[N] * n] and rule.cod == [P, P]
+
 
 class TestConcurrent:
     def test_two_permits_fire_jointly(self):
@@ -202,6 +219,13 @@ class TestJointStepRule:
         td = translate_top(p, 2, True)
         for rs in concurrent_step(td, 2):
             apply_concurrent(td, rs)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.one_of(process_st(max_leaves=5), soup_st()))
+    def test_joint_steps_fire_in_either_order(self, p):
+        td = translate_top(p, 2, True)
+        for rs in concurrent_step(td, 2):
+            assert apply_concurrent(td, rs).sig == apply_concurrent(td, rs[::-1]).sig
 
 
 def assert_normal(d: Diagram) -> None:

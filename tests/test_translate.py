@@ -116,6 +116,12 @@ class TestTranslateTop:
     def test_distinct_names_not_identified(self):
         assert not top_equal(translate_top(parse("x!()")), translate_top(parse("y!()")))
 
+    def test_open_forms_over_distinct_names_not_identified(self):
+        # the diagrams are isomorphic; only the names on their domains differ
+        a, b = (translate_top(parse(t), 1, False) for t in ("a!()", "b!()"))
+        assert not top_equal(a, b) and len({a, b}) == 2
+        assert top_equal(a, translate_top(parse("a!()"), 1, False))
+
 
 # Two alpha-equivalent terms: the second renames n0 to m1 and n1 to m0.
 ALPHA_LEFT = "(new n0)(new n1)(a?(n2) => n0!(d) | c?() => b!(n1) | d?() => n0?() => n1!(d))"
