@@ -29,14 +29,15 @@ which is equality of their signatures.
 
 Nodes are immutable values, and a thunk body is boxed in normal form and never
 changed: ``Diagram.add`` stores the normal form of the body it is given, and
-``_splice`` moves nodes into a diagram as they are, without ``add``.  Copies
-of a diagram share their nodes and bodies, so every copy is shallow.  Code
+``Diagram.put`` (which ``_splice`` uses) adds a node as it is.  Copies of a
+diagram, and translations of one input term, share nodes and bodies.  Code
 that needs a changed body replaces the node with one boxing its normal form.
 Every rewriting step (a beta step, plugging a hole, firing a redex) is
 ``_replace_nodes``: it removes the matched nodes and splices the rule's
 right-hand side into the wire ends they met.
 
-Normalization is one ordered pass over one copy, and never descends into a
+Normalization is one ordered pass, in place on a diagram the caller owns
+(``_normalized``) or on one copy (``normalize``), and never descends into a
 body: fire each apply fed by a thunk, rebuild each maximal par tree as one
 node without stops and each maximal copy tree as one node without discards,
 then delete each name or fresh source that feeds a discard.  One pass is
@@ -203,12 +204,16 @@ class Diagram:
     def add(self, kind: str, arity: int = 0, cap: int = 0, label: str = "",
             inner: "Diagram | None" = None) -> int:
         """Add a node; a thunk body ``inner`` is boxed as its normal form."""
-        nid = self._next
-        self._next += 1
         if inner is not None:
             inner = normalize(inner)
         # _make skips the __init__ step of calling the class: a third cheaper
-        self.nodes[nid] = Node._make((kind, arity, cap, label, inner))
+        return self.put(Node._make((kind, arity, cap, label, inner)))
+
+    def put(self, node: Node) -> int:
+        """Add a node value as it is, sharing its body, which must be normal."""
+        nid = self._next
+        self._next += 1
+        self.nodes[nid] = node
         return nid
 
     def add_dom(self, t: WireType) -> Port:
@@ -373,11 +378,7 @@ def generator(kind: str, arity: int = 0, cap: int = 0, label: str = "",
 
 def _splice(d: Diagram, sub: Diagram, dom_prods: list[Port], cod_cons: list[Port]) -> None:
     """Inline sub's nodes into d as they are, bodies shared, gluing its boundary to the ports."""
-    mapping: dict[int, int] = {}
-    for nid in sorted(sub.nodes):
-        mapping[nid] = d._next
-        d.nodes[d._next] = sub.nodes[nid]
-        d._next += 1
+    mapping = {nid: d.put(sub.nodes[nid]) for nid in sorted(sub.nodes)}
 
     def msrc(p: Port) -> Port:
         if p[0] == "dom":
@@ -561,18 +562,21 @@ def _drop_scalars(d: Diagram) -> None:
 
 
 def normalize(d: Diagram) -> Diagram:
-    """The normal form of d under the diagram equations, as a new diagram.
+    """The normal form of d under the diagram equations, as a new diagram."""
+    return _normalized(d.copy())
 
-    One ordered pass over a copy of d (see the module docstring); idempotent.
-    Thunk bodies are normal from the moment they are boxed, so the pass never
-    descends into them.
+
+def _normalized(d: Diagram) -> Diagram:
+    """Normalize d in place by the one ordered pass of the module docstring; returns d.
+
+    Idempotent.  Bodies are normal from the moment they are boxed, so the pass
+    never descends into them.
     """
-    h = d.copy()
-    _fire_betas(h)
-    _flatten(h, "par", "stop")
-    _flatten(h, "copy", "discard")
-    _drop_scalars(h)
-    return h
+    _fire_betas(d)
+    _flatten(d, "par", "stop")
+    _flatten(d, "copy", "discard")
+    _drop_scalars(d)
+    return d
 
 
 # ---------------------------------------------------------------------------

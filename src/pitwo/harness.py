@@ -63,6 +63,10 @@ class CorpusSpec:
 DESK_SPEC = CorpusSpec()
 SMALL_SPEC = CorpusSpec(name_alphabet_size=2, max_prefixes=2, max_arity=1,
                         max_parallel_width=2, allow_new=True)
+# Messages of two names: unlike the two specs above, its reduction lemma tells
+# a step that keeps the message order from one that reverses it.
+ARITY2_SPEC = CorpusSpec(name_alphabet_size=2, max_prefixes=3, max_arity=2,
+                         max_parallel_width=2, allow_new=False)
 
 
 def _continuations(spec: CorpusSpec, names: tuple[Name, ...], ins: int, outs: int):

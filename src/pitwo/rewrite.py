@@ -31,7 +31,7 @@ import functools
 from dataclasses import dataclass, replace
 from itertools import combinations
 
-from .diagram import Diagram, Port, _replace_nodes, generator, normalize, tensor
+from .diagram import Diagram, Port, _normalized, _replace_nodes, generator, tensor
 from .translate import TopDiagram
 
 
@@ -128,11 +128,11 @@ def _fire_on(d: Diagram, r: DiagramRedex) -> None:
 
 
 def _fire(td: TopDiagram, rs: tuple[DiagramRedex, ...]) -> TopDiagram:
-    """Fire a valid joint step of td on a copy, then normalize once."""
+    """Fire a valid joint step of td on one copy, then normalize that copy in place."""
     d = td.diagram.copy()
     for r in rs:
         _fire_on(d, r)
-    return TopDiagram(normalize(d), td.name_order)
+    return TopDiagram(_normalized(d), td.name_order)
 
 
 def apply_comm(td: TopDiagram, r: DiagramRedex) -> TopDiagram:
@@ -159,7 +159,7 @@ def strip_permits(td: TopDiagram) -> TopDiagram:
         if d.nodes[nid].kind == "comm":
             # an inert stop takes the permit's place; normalization drops it
             _replace_nodes(d, (nid,), _STOP, [], [d.consumer(("out", nid, 0))])
-    return TopDiagram(normalize(d), td.name_order)
+    return TopDiagram(_normalized(d), td.name_order)
 
 
 def concurrent_step(td: TopDiagram, permits: int | None = None) -> list[tuple[DiagramRedex, ...]]:

@@ -1,89 +1,82 @@
 """Interpretation of process terms as diagrams, and contexts as diagram contexts.
 
-The translation is structurally recursive.  Every free name of a term becomes
-one N port of the diagram's domain (in sorted name order); a name used k
-times fans out through a copy node, and a name bound but unused ends in a
-discard.  Input continuations are boxed into thunks whose message parameters
-are designated ports and whose remaining free names enter the box as captured
-wires.  Restriction plugs a fresh source into the binder's wire.
+The translation is structurally recursive and builds flat trees.  Every free
+name of a term becomes one N port of the diagram's domain (in sorted name
+order); a name used k times fans out through one copy node, and a name bound
+but unused ends in a discard.  A parallel tree, seen through restrictions,
+becomes one par node over its leaves, stops included.  Input continuations
+are boxed into thunks whose message parameters are designated ports and whose
+remaining free names enter the box as captured wires.  Restriction plugs a
+fresh source into the binder's wire.  Outside a context, each input term is
+boxed once per process: a weak table keyed by the interned term keeps its
+thunk node, which every translation meeting the term shares (nodes and bodies
+never change), so its body is normalized and signed once.
 
 The top-level form is built in one place, ``seal``: it adds a configurable
 number of communication permits in parallel with an open diagram (a
-translation, or a plugged context) and optionally instantiates every free
-name with a name-constant node, closing the domain.
+translation, or a plugged context), as further inputs of its output's par
+node if it has one, and optionally instantiates every free name with a
+name-constant node, closing the domain.  It owns the diagram, and normalizes
+it in place.
 """
 
 from __future__ import annotations
 
 import functools
+import weakref
 from dataclasses import dataclass
 
 from .diagram import (
     Diagram,
     InterfaceError,
     N,
+    Node,
     P,
     Port,
+    _normalized,
     _rebuild_fanin,
     _rebuild_fanout,
     _replace_nodes,
-    normalize,
     signature,
 )
-from .syntax import Hole, Input, Name, New, Output, Par, Process, Stop, fold_par
-
-
-def _merge(into: dict[Name, list[Port]], extra: dict[Name, list[Port]]) -> None:
-    for name, ports in extra.items():
-        into.setdefault(name, []).extend(ports)
+from .syntax import Hole, Input, Name, New, Output, Par, Process, Stop, fold_par, par_leaves
 
 
 def _emit(p: Process, d: Diagram, hole_names: tuple[Name, ...] | None = None
-          ) -> tuple[Port, dict[Name, list[Port]]]:
-    """Build p's nodes inside d; returns its P output and open name demands."""
+          ) -> tuple[list[Port], dict[Name, list[Port]]]:
+    """Build p's nodes inside d; returns its parallel leaves' P outputs and open name demands."""
     match p:
         case Stop():
-            nid = d.add("stop")
-            return ("out", nid, 0), {}
+            return [("out", d.add("stop"), 0)], {}
         case Output(subject, args):
             nid = d.add("send", arity=len(args))
             demands: dict[Name, list[Port]] = {}
             for i, a in enumerate((subject, *args)):
                 demands.setdefault(a, []).append(("in", nid, i))
-            return ("out", nid, 0), demands
+            return [("out", nid, 0)], demands
         case Par():
-            # both sides, then their par node
-            def join(left, right):
-                (lo, ld), (ro, rd) = left, right
-                nid = d.add("par", arity=2)
-                d.connect(lo, ("in", nid, 0))
-                d.connect(ro, ("in", nid, 1))
-                _merge(ld, rd)
-                return ("out", nid, 0), ld
-
-            return fold_par(p, lambda q: _emit(q, d, hole_names), join)
+            outs: list[Port] = []
+            demands = {}
+            for q in par_leaves(p):
+                qo, qd = _emit(q, d, hole_names)
+                outs += qo
+                for name, ports in qd.items():
+                    demands.setdefault(name, []).extend(ports)
+            return outs, demands
         case New(binder, body):
             bo, bd = _emit(body, d, hole_names)
             nid = d.add("fresh")
             _rebuild_fanout(d, ("out", nid, 0), bd.pop(binder, []))
             return bo, bd
-        case Input(subject, params, body):
-            inner = Diagram()
-            bo, bd = _emit(body, inner, hole_names)
-            inner.connect(bo, inner.add_cod(P))
-            for y in params:
-                _rebuild_fanout(inner, inner.add_dom(N), bd.pop(y, []))
-            captured = sorted(bd)
-            for c in captured:
-                _rebuild_fanout(inner, inner.add_dom(N), bd.pop(c))
-            n = len(params)
-            tid = d.add("thunk", arity=n, cap=len(captured), inner=inner)
-            rid = d.add("recv", arity=n)
+        case Input(subject, params, _):
+            thunk, captured = _thunk(p, hole_names)
+            tid = d.put(thunk)
+            rid = d.add("recv", arity=len(params))
             d.connect(("out", tid, 0), ("in", rid, 1))
             demands = {subject: [("in", rid, 0)]}
             for j, c in enumerate(captured):
                 demands.setdefault(c, []).append(("in", tid, j))
-            return ("out", rid, 0), demands
+            return [("out", rid, 0)], demands
         case Hole():
             if hole_names is None:
                 raise ValueError("holes are only allowed in contexts")
@@ -91,19 +84,35 @@ def _emit(p: Process, d: Diagram, hole_names: tuple[Name, ...] | None = None
             demands = {}
             for i, name in enumerate(hole_names):
                 demands.setdefault(name, []).append(("in", nid, i))
-            return ("out", nid, 0), demands
+            return [("out", nid, 0)], demands
     raise TypeError(f"not a process: {p!r}")
 
 
-def _open(p: Process, hole_names: tuple[Name, ...] | None = None
+# The thunk node of each input term translated outside a context, and its captured names.
+_THUNKS: weakref.WeakKeyDictionary[Input, tuple[Node, tuple[Name, ...]]] = weakref.WeakKeyDictionary()
+
+
+def _thunk(p: Input, hole_names: tuple[Name, ...] | None) -> tuple[Node, tuple[Name, ...]]:
+    """The thunk node boxing p's continuation, and the names it captures, in input order."""
+    boxed = _THUNKS.get(p) if hole_names is None else None
+    if boxed is None:
+        inner, names = _open(p.body, hole_names, p.params)
+        captured = names[len(p.params):]
+        boxed = Node("thunk", len(p.params), len(captured), "", _normalized(inner)), captured
+        if hole_names is None:
+            _THUNKS[p] = boxed
+    return boxed
+
+
+def _open(p: Process, hole_names: tuple[Name, ...] | None = None, params: tuple[Name, ...] = ()
           ) -> tuple[Diagram, tuple[Name, ...]]:
-    """The open diagram of p and its domain's names: every free name, sorted."""
+    """The open diagram of p and its domain's names: ``params``, then the other free names, sorted."""
     d = Diagram()
-    out, demands = _emit(p, d, hole_names)
-    d.connect(out, d.add_cod(P))
-    names = tuple(sorted(demands))
+    outs, demands = _emit(p, d, hole_names)
+    _rebuild_fanin(d, outs, d.add_cod(P))
+    names = (*params, *sorted(demands.keys() - set(params)))
     for name in names:
-        _rebuild_fanout(d, d.add_dom(N), demands[name])
+        _rebuild_fanout(d, d.add_dom(N), demands.get(name, []))
     return d, names
 
 
@@ -148,23 +157,30 @@ def seal(d: Diagram, names: tuple[Name, ...], catalysts: int = 1,
     """The top-level form of an open diagram N^k -> P whose domain carries ``names``.
 
     Takes ownership of d, a fresh diagram from ``translate`` or ``plug_diagram``,
-    and seals it in place: ``catalysts`` communication permits go in parallel with
-    its codomain, and with ``instantiate`` each domain port's consumer is rewired
-    to a name-constant node, closing the domain; otherwise free names stay as
-    domain ports.
+    and seals and normalizes it in place: ``catalysts`` communication permits join
+    the par node that produces its codomain (or a new one), and with ``instantiate``
+    each domain port's consumer is rewired to a name-constant node, closing the
+    domain; otherwise free names stay as domain ports.
     """
     if catalysts < 0:
         raise ValueError("catalyst count must be >= 0")
     if catalysts:
-        parts = [d.disconnect(("cod", 0))] + [("out", d.add("comm"), 0) for _ in range(catalysts)]
-        _rebuild_fanin(d, parts, ("cod", 0))
+        nid = d.producer(("cod", 0))[1]
+        spine = d.nodes[nid]
+        permits = [("out", d.add("comm"), 0) for _ in range(catalysts)]
+        if spine.kind == "par":  # the permits join it: one par of arity n + catalysts
+            d.nodes[nid] = spine._replace(arity=spine.arity + catalysts)
+            for j, permit in enumerate(permits, spine.arity):
+                d.connect(permit, ("in", nid, j))
+        else:
+            _rebuild_fanin(d, [d.disconnect(("cod", 0))] + permits, ("cod", 0))
     if instantiate:
         for k, name in enumerate(names):
             cons = d.consumer(("dom", k))
             d.disconnect(cons)
             d.connect(("out", d.add("name", label=name.id), 0), cons)
         d.dom = []
-    return TopDiagram(normalize(d), names)
+    return TopDiagram(_normalized(d), names)
 
 
 def translate_top(p: Process, catalysts: int = 1, instantiate: bool = True) -> TopDiagram:
@@ -256,7 +272,7 @@ def _plugged(d: Diagram, f: Diagram) -> Diagram | None:
         body = _plugged(node.inner, f) if node.inner is not None else None
         if body is not None:
             h = d.copy()
-            h.nodes[nid] = node._replace(inner=normalize(body))
+            h.nodes[nid] = node._replace(inner=_normalized(body))
             return h
     return None
 

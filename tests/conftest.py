@@ -14,6 +14,7 @@ import random
 from collections import Counter
 from functools import reduce
 from itertools import permutations
+from typing import Iterator
 
 import hypothesis.strategies as st
 from hypothesis import HealthCheck, settings
@@ -239,12 +240,16 @@ def naive_raw_step(p: Process) -> list[Process]:
     return out
 
 
-def congruence_class_terms(p: Process, slack: int = 1) -> list[Process]:
-    """One representative term per alpha-class reachable by axiom steps."""
+def congruence_class_terms(p: Process, slack: int = 1) -> Iterator[Process]:
+    """One representative term per alpha-class reachable by axiom steps.
+
+    Lazy and breadth-first, p first, so a caller that needs only the first
+    few members (``itertools.islice``) does not build the whole class.
+    """
     cap = term_size(p) + slack
     seen = {alpha_key(p)}
     frontier = [p]
-    reps = [p]
+    yield p
     while frontier:
         nxt = []
         for t in frontier:
@@ -255,9 +260,8 @@ def congruence_class_terms(p: Process, slack: int = 1) -> list[Process]:
                 if k not in seen:
                     seen.add(k)
                     nxt.append(t2)
-                    reps.append(t2)
+                    yield t2
         frontier = nxt
-    return reps
 
 
 def naive_reduce_step(p: Process) -> frozenset[Process]:

@@ -131,7 +131,7 @@ class TestOracle:
     @settings(max_examples=60, deadline=None)
     @given(process_st(max_leaves=4))
     def test_agreement_with_canonical_form(self, p):
-        variants = congruence_class_terms(p)
+        variants = list(congruence_class_terms(p))
         cap = max(term_size(t) for t in variants) + 1
         keys = congruence_closure_keys(p, cap)
         for q in variants:

@@ -2,10 +2,12 @@ from itertools import combinations
 
 import pytest
 
+from pitwo import rewrite
 from pitwo.bisim import barbs, blocks
 from pitwo.congruence import canonical_form
 from pitwo.opsem import StateBudgetError, reduction_union
 from pitwo.harness import (
+    ARITY2_SPEC,
     CorpusSpec,
     DESK_SPEC,
     SMALL_SPEC,
@@ -100,6 +102,23 @@ class TestVerifiers:
         report = verify_reduction_lemma(SMALL_SPEC)
         assert report.passed, report.counterexamples[:3]
         assert report.corpus_size == len(enumerate_terms(SMALL_SPEC))
+
+    def test_reduction_on_two_name_messages(self, monkeypatch):
+        report = verify_reduction_lemma(ARITY2_SPEC)
+        assert report.passed, report.counterexamples[:3]
+        assert report.corpus_size == 6795
+        # a firing that feeds the continuation its message names reversed
+        fire_on = rewrite._fire_on
+
+        def reversed_messages(d, r):
+            ports = [("in", r.output_node, 1 + t) for t in range(r.arity)]
+            prods = [d.disconnect(port) for port in ports]
+            for port, prod in zip(ports, reversed(prods)):
+                d.connect(prod, port)
+            fire_on(d, r)
+
+        monkeypatch.setattr(rewrite, "_fire_on", reversed_messages)
+        assert verify_reduction_lemma(ARITY2_SPEC).counterexamples
 
     def test_observation_smoke(self):
         report = verify_observation_lemma(SMALL_SPEC)

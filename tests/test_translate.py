@@ -1,19 +1,30 @@
+import importlib
+import weakref
+from itertools import islice
+
 import hypothesis.strategies as st
 from hypothesis import given, settings
 
 from conftest import congruence_class_terms, name_st, process_st, rename_restrictions
+from pitwo import diagram as dg
 from pitwo.congruence import canonical_form, congruent
-from pitwo.diagram import N, compose, dumps, equal, generator, normalize, signature, tensor
-from pitwo.syntax import Hole, Input, Name, New, Output, Par, free_names, parse, pretty
+from pitwo.diagram import N, Diagram, compose, dumps, equal, generator, normalize, signature, tensor
+from pitwo.harness import SMALL_SPEC, enumerate_terms
+from pitwo.rewrite import apply_comm, find_diagram_redexes
+from pitwo.syntax import Hole, Input, Name, New, Output, Par, Stop, free_names, parse, pretty
 from pitwo.translate import (
     count_holes,
     plug_diagram,
     plug_term,
+    seal,
     top_equal,
     translate,
     translate_context,
     translate_top,
 )
+
+# the module, which the package's ``translate`` function hides
+translation = importlib.import_module("pitwo.translate")
 
 
 class TestTranslate:
@@ -71,7 +82,7 @@ class TestTranslate:
     @given(process_st(max_leaves=4))
     def test_congruence_soundness(self, p):
         base = translate_top(p, 1, True)
-        for q in congruence_class_terms(p)[:8]:
+        for q in islice(congruence_class_terms(p), 8):
             assert top_equal(base, translate_top(q, 1, True)), pretty(q)
 
     def test_congruent_canonical_translates_equal(self):
@@ -272,3 +283,102 @@ class TestContexts:
             pass
         else:
             raise AssertionError("interface mismatch not rejected")
+
+
+def _thunk_bodies(d: Diagram) -> list[Diagram]:
+    return [node.inner for node in d.nodes.values() if node.inner is not None]
+
+
+def _pars_fed_by_pars(d: Diagram) -> list[int]:
+    """The par nodes of d, or of a body at any depth, with an input from another par."""
+    found = []
+    for nid, node in d.nodes.items():
+        if node.kind == "par" and any(
+                d.producer(port)[0] == "out" and d.nodes[d.producer(port)[1]].kind == "par"
+                for port in d.in_ports(nid)):
+            found.append(nid)
+    return found + [nid for body in _thunk_bodies(d) for nid in _pars_fed_by_pars(body)]
+
+
+class TestFlatConstruction:
+    """Each parallel tree is built as one par node, so normalize has no tree to rebuild."""
+
+    def test_no_tree_is_rebuilt(self, monkeypatch):
+        # fresh bodies, so that boxing them is counted as well
+        monkeypatch.setattr(translation, "_THUNKS", weakref.WeakKeyDictionary())
+        rebuilt = []
+        for name in ("_rebuild_fanin", "_rebuild_fanout"):
+            def counted(*args, real=getattr(dg, name), name=name):
+                rebuilt.append(name)
+                return real(*args)
+            monkeypatch.setattr(dg, name, counted)
+        translate_top(Stop())
+        assert rebuilt  # par(stop, permit) loses its stop: the counter counts
+        rebuilt.clear()
+        terms = [p for p in enumerate_terms(SMALL_SPEC) if p is not Stop()]
+        for p in terms:
+            translate_top(p)
+        assert len(terms) > 100 and rebuilt == []
+
+    def test_restrictions_do_not_split_a_parallel_tree(self):
+        d = translate(parse("(new x)(x!() | a!()) | b?() => (new y)(y!() | c!()) | d!()"))
+        assert sorted(n.arity for n in d.nodes.values() if n.kind == "par") == [4]
+        assert [n.arity for b in _thunk_bodies(d) for n in b.nodes.values() if n.kind == "par"] == [2]
+
+    @settings(max_examples=100, deadline=None)
+    @given(process_st(max_leaves=8))
+    def test_no_par_feeds_a_par(self, p):
+        assert _pars_fed_by_pars(translate(p)) == []
+
+
+# Two terms with the same continuation term b7?(k3) => k3!(), boxed once per process.
+SHARED_LEFT = "b7?(k3) => k3!() | b7!(a)"
+SHARED_RIGHT = "b7?(k3) => k3!() | c!()"
+
+
+class TestSharedThunks:
+    """A continuation term outside a context is boxed once; its node and body are shared values."""
+
+    @staticmethod
+    def _body(td) -> Diagram:
+        (body,) = _thunk_bodies(td.diagram)
+        return body
+
+    def test_one_body_signed_once(self, monkeypatch):
+        monkeypatch.setattr(translation, "_THUNKS", weakref.WeakKeyDictionary())
+        signed = []
+
+        def counted(d, real=dg.signature):
+            signed.append(d)
+            return real(d)
+
+        monkeypatch.setattr(dg, "signature", counted)
+        terms = [parse(SHARED_LEFT), parse(SHARED_RIGHT)]  # held: the cache is weak
+        left, right = map(translate_top, terms)
+        body = self._body(left)
+        assert self._body(right) is body
+        assert left.sig != right.sig
+        assert sum(d is body for d in signed) == 1
+
+    def test_firing_and_plugging_leave_the_shared_body_unchanged(self):
+        terms = [parse(SHARED_LEFT), parse(SHARED_RIGHT)]
+        left, right = map(translate_top, terms)
+        body = self._body(left)
+        image = (dumps(body), signature(body))
+        (r,) = find_diagram_redexes(left)
+        fired = apply_comm(left, r)
+        assert all(node.inner is not body for node in fired.diagram.nodes.values())
+        # plug the other term under a prefix, then seal and fire the plugged diagram
+        plug = terms[1]
+        order = tuple(sorted(free_names(plug)))
+        ctx = translate_context(Par(Input(Name("d"), (), Hole()), Output(Name("d"), ())), order)
+        top = seal(plug_diagram(ctx, translate(plug)), ctx.dom_names)
+        apply_comm(top, find_diagram_redexes(top)[0])
+        assert self._body(right) is body and (dumps(body), signature(body)) == image
+
+    def test_a_context_continuation_gets_its_own_body(self):
+        # a?(y) => (y!() | [ ]): the hole sits in the boxed continuation
+        c = Input(Name("a"), (Name("y"),), Par(Output(Name("y"), ()), Hole()))
+        first, second = (translate_context(c, (Name("b"),)).diagram for _ in range(2))
+        assert _thunk_bodies(first)[0] is not _thunk_bodies(second)[0]
+        assert c not in translation._THUNKS
