@@ -25,7 +25,7 @@ from .syntax import (
     pretty,
     substitute,
 )
-from .congruence import canonical_form, congruent, oracle_congruent
+from .congruence import canonical_form, congruent
 from .opsem import (
     LTS,
     Redex,

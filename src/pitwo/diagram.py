@@ -24,8 +24,8 @@ quotients by the parallel-composition monoid laws, the copy/discard comonoid
 laws and the beta step (apply over thunk), and always deletes closed name
 sources that end in a discard.  ``equal`` compares normal forms up to
 port-graph isomorphism and the exchange law of captured wires (a thunk's
-captured inputs permute together with its body's captured domain ports),
-which is equality of their signatures.
+captured inputs permute together with its body's captured domain ports):
+first by ``_witness``, then, where it finds none, by their signatures.
 
 Nodes are immutable values, and a thunk body is boxed in normal form and never
 changed: ``Diagram.add`` stores the normal form of the body it is given, and
@@ -53,7 +53,11 @@ Where the colouring has no ties it is a canonical labelling; where ties
 remain, ``_least_leaf`` refines it to one by individualization-refinement
 (McKay and Piperno, "Practical graph isomorphism II", 2014).  ``signature``
 hashes the certificate of that labelling, so diagrams are isomorphic iff their
-signatures are equal, which is what ``isomorphic`` compares.  A diagram caches
+signatures are equal.  ``isomorphic`` first looks for an explicit isomorphism
+that pairs each port with the same port of its image (``_witness``, one walk
+from the interface), which two diagrams built in one port order have, and
+compares signatures only when the walk fails; signatures still hash and
+intern top-level forms (``translate.TopDiagram``).  A diagram caches
 nothing; only values that never change keep a signature: a boxed body
 (``_body_signature``) and a top-level form (``translate.TopDiagram.sig``).
 
@@ -808,16 +812,75 @@ def signature(d: Diagram) -> str:
     return hashlib.sha256(repr(payload).encode()).hexdigest()
 
 
-def isomorphic(a: Diagram, b: Diagram) -> bool:
-    """Interfaced port-graph isomorphism up to the exchange law: equal signatures.
+def _witness(a: Diagram, b: Diagram) -> bool:
+    """True if pairing every port with the same port of its image maps a onto b.
 
-    Expects normalized inputs.
+    The walk starts from the interface, position by position, and pairs
+    in-port k of each mapped node with in-port k of its image, and out-port k
+    with out-port k.  Mapped nodes agree on kind, arity, captures and label,
+    and their bodies are one object or witness each other; ``taken`` keeps the
+    map injective.  Success is a strict port-graph isomorphism, which keeps
+    capture order and the indices of unordered ports, so the signatures are
+    equal.  False decides nothing: another map, or the exchange law, may
+    still relate the two.
     """
-    return signature(a) == signature(b)
+    if (a.dom != b.dom or a.cod != b.cod or len(a.nodes) != len(b.nodes)
+            or len(a._dst) != len(b._dst)):
+        return False
+    image: dict[int, int] = {}
+    taken: set[int] = set()
+    stack: list[int] = []
+
+    def pair(p: Port, q: Port) -> bool:
+        if p[0] in ("dom", "cod"):
+            return p == q
+        if p[0] != q[0] or p[2] != q[2]:
+            return False
+        x, y = p[1], q[1]
+        if x in image:
+            return image[x] == y
+        nx, ny = a.nodes[x], b.nodes[y]
+        # equal nodes: equal fields, and one body object or none
+        if y in taken or not (nx == ny or nx[:4] == ny[:4] and nx.inner is not None
+                              and ny.inner is not None and _witness(nx.inner, ny.inner)):
+            return False
+        image[x] = y
+        taken.add(y)
+        stack.append(x)
+        return True
+
+    if not all(pair(a._src[("cod", k)], b._src[("cod", k)]) for k in range(len(a.cod))):
+        return False
+    if not all(pair(a._dst[("dom", k)], b._dst[("dom", k)]) for k in range(len(a.dom))):
+        return False
+    while stack:
+        x = stack.pop()
+        y = image[x]
+        ins, outs = a.nodes[x].ports()
+        for k in range(len(ins)):
+            if not pair(a._src[("in", x, k)], b._src[("in", y, k)]):
+                return False
+        for k in range(len(outs)):
+            if not pair(a._dst[("out", x, k)], b._dst[("out", y, k)]):
+                return False
+    return len(image) == len(a.nodes)
+
+
+def isomorphic(a: Diagram, b: Diagram) -> bool:
+    """Interfaced port-graph isomorphism up to the exchange law.
+
+    A witness found by ``_witness`` decides it at once; any pair it misses is
+    decided by comparing signatures.  Expects normalized inputs.
+    """
+    return _witness(a, b) or signature(a) == signature(b)
 
 
 def equal(d1: Diagram, d2: Diagram) -> bool:
-    """Diagram equality: isomorphism of normal forms, up to the exchange law."""
+    """Diagram equality: isomorphism of normal forms, up to the exchange law.
+
+    Two diagrams built in the same port order meet a witness and are never
+    signed; pairs it misses fall back to their signatures.
+    """
     return isomorphic(normalize(d1), normalize(d2))
 
 

@@ -10,12 +10,8 @@ import time
 import pytest
 
 from conftest import random_term, substitution_oracle
-from pitwo.congruence import (
-    alpha_key,
-    canonical_form,
-    congruence_closure_keys,
-    term_size,
-)
+from oracles import alpha_key, congruence_closure_keys
+from pitwo.congruence import canonical_form, term_size
 from pitwo.diagram import Diagram, P, equal, generator, identity, normalize, signature, tensor, compose
 from pitwo.harness import (
     DESK_SPEC,

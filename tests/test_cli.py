@@ -4,8 +4,9 @@ import subprocess
 import sys
 import time
 
+from oracles import alpha_key
 from pitwo.cli import main
-from pitwo.congruence import alpha_key, congruent, term_size
+from pitwo.congruence import congruent, term_size
 from pitwo.syntax import MAX_NESTING, Hole, Name, New, Par, alpha_eq, from_json, parse, to_json
 from pitwo.translate import count_holes, plug_term
 

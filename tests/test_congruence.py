@@ -5,16 +5,9 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import congruence_class_terms, naive_canonical_form, process_st
+from oracles import alpha_key, congruence_closure_keys, oracle_congruent
 from pitwo import congruence
-from pitwo.congruence import (
-    _canonical_form,
-    alpha_key,
-    canonical_form,
-    congruent,
-    congruence_closure_keys,
-    oracle_congruent,
-    term_size,
-)
+from pitwo.congruence import _canonical_form, canonical_form, congruent, term_size
 from pitwo.syntax import Name, New, Output, Par, Stop, free_names, parse, pretty
 
 a, b, x, z = Name("a"), Name("b"), Name("x"), Name("z")

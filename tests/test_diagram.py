@@ -481,23 +481,33 @@ class TestExport:
         assert dg.to_json(d) == dg.to_json(d.copy())
 
 
-def relabel(d: Diagram, rng) -> Diagram:
-    """A copy of d whose nodes (also inside thunks) are added in a shuffled order."""
+def relabel(d: Diagram, rng, ports: bool = False) -> Diagram:
+    """A copy of d whose nodes (also inside thunks) are added in a shuffled order.
+
+    With ``ports``, each par's inputs and each copy's outputs are also wired
+    in a shuffled order, so the copy no longer pairs port k with port k.
+    """
     order = sorted(d.nodes)
     rng.shuffle(order)
     out = Diagram()
-    ids = {}
+    ids, perms = {}, {}
     for nid in order:
         node = d.nodes[nid]
-        inner = relabel(node.inner, rng) if node.inner is not None else None
+        inner = relabel(node.inner, rng, ports) if node.inner is not None else None
         ids[nid] = out.add(node.kind, node.arity, node.cap, node.label, inner)
+        perms[nid] = rng.sample(range(node.arity), node.arity) if ports else range(node.arity)
     for t in d.dom:
         out.add_dom(t)
     for t in d.cod:
         out.add_cod(t)
 
     def move(port):
-        return port if port[0] in ("dom", "cod") else (port[0], ids[port[1]], port[2])
+        if port[0] in ("dom", "cod"):
+            return port
+        side, nid, k = port
+        if (d.nodes[nid].kind, side) in dg._UNORDERED:
+            k = perms[nid][k]
+        return (side, ids[nid], k)
 
     for src, dst in d.wires():
         out.connect(move(src), move(dst))
@@ -646,10 +656,15 @@ class TestCanonicalLabelling:
         for t in (p, q):
             closed = functools.reduce(lambda body, x: New(x, body), sorted(free_names(t)), t)
             pool += [translate_top(u).diagram for u in (closed, rename_restrictions(closed, rng))]
-        pool += [relabel(x, rng) for x in pool]
-        for x in pool:
-            for y in pool:
-                assert (signature(x) == signature(y)) == naive_isomorphic(x, y)
+        # every other copy permutes par inputs and copy outputs, which the witness misses
+        pool += [relabel(x, rng, ports=i % 2 == 1) for i, x in enumerate(pool)]
+        sigs = [signature(x) for x in pool]
+        for x, sx in zip(pool, sigs):
+            for y, sy in zip(pool, sigs):
+                same = naive_isomorphic(x, y)
+                assert (sx == sy) == same
+                assert dg.isomorphic(x, y) == same
+                assert same or not dg._witness(x, y)
 
     @pytest.mark.parametrize("left, right, same", [
         ("(new p)(new q)(new r)(a?() => (p!(q) | q!(r) | r!(p)))",
@@ -663,6 +678,42 @@ class TestCanonicalLabelling:
         # take their captured wires in different orders
         x, y = (translate_top(parse(t)).diagram for t in (left, right))
         assert naive_isomorphic(x, y) == same
+        # no port-for-port witness: signatures decide
+        assert not dg._witness(x, y)
+        assert dg.isomorphic(x, y) == same
+
+    @pytest.mark.parametrize("left, right", [
+        ("a!(b) | b!(a)", "a!(a) | b!(b)"),  # equal node multisets, wired differently
+        ("a?(x) => x!()", "a?(x) => x!(x)"),  # equal thunk nodes whose bodies differ
+    ])
+    def test_equal_nodes_are_not_enough(self, left, right):
+        x, y = (translate_top(parse(t)).diagram for t in (left, right))
+        assert not dg._witness(x, y)
+        assert not dg.isomorphic(x, y) and not naive_isomorphic(x, y)
+
+    def test_swapped_par_inputs_miss_the_witness(self):
+        x = translate_top(parse("a!() | b!() | c?() => 0")).diagram
+        (par,) = [nid for nid, node in x.nodes.items() if node.kind == "par"]
+        y = x.copy()
+        prods = [y.disconnect(("in", par, k)) for k in range(3)]
+        for k, src in enumerate(prods[::-1]):
+            y.connect(src, ("in", par, k))
+        assert dg._witness(x, x.copy()) and dg._witness(x, relabel(x, random.Random(0)))
+        assert not dg._witness(x, y)
+        assert dg.isomorphic(x, y)
+
+    def test_a_component_off_the_interface_is_never_witnessed(self):
+        x = translate_top(parse("a!(b) | b?(y) => y!()")).diagram
+        named = tensor(x, compose(generator("name", label="c"), generator("discard")))
+        fresh = tensor(x, compose(generator("fresh"), generator("discard")))
+        assert not dg._witness(named, fresh) and not dg._witness(named, named.copy())
+        assert not dg.isomorphic(named, fresh)
+        assert dg.isomorphic(named, named.copy())
+
+    def test_the_witness_walks_out_ports(self):
+        # not normal: the discard is reached only from its copy's output
+        d = compose(generator("copy", arity=2), tensor(generator("discard"), identity([N])))
+        assert dg._witness(d, relabel(d, random.Random(0)))
 
     @pytest.mark.parametrize("n", [5, 6, 8, 12])
     def test_cycle_probe_answers_quickly(self, n):

@@ -2,7 +2,8 @@ from itertools import combinations
 
 import pytest
 
-from pitwo import rewrite
+from pitwo import diagram as dg
+from pitwo import harness, rewrite
 from pitwo.bisim import barbs, blocks
 from pitwo.congruence import canonical_form
 from pitwo.opsem import StateBudgetError, reduction_union
@@ -138,6 +139,26 @@ class TestVerifiers:
                                               max_plugs=6, max_verdict_terms=4,
                                               max_verdict_contexts=8)
         assert report.passed, report.counterexamples[:3]
+
+    def test_functoriality_checks_never_sign(self, monkeypatch):
+        # plug-then-translate and translate-then-plug wire their diagrams in
+        # one port order, so a witness decides every functoriality check
+        signature, equal = dg.signature, dg.equal
+        signed, signs_per_check = [], []
+
+        def traced(d1, d2):
+            before = len(signed)
+            same = equal(d1, d2)
+            signs_per_check.append(len(signed) - before)
+            return same
+
+        monkeypatch.setattr(dg, "signature", lambda d: signed.append(d) or signature(d))
+        monkeypatch.setattr(harness, "equal", traced)
+        report = verify_contextual_congruence(SMALL_SPEC, context_bound=2, max_plugs=4)
+        assert report.passed, report.counterexamples[:3]
+        contexts = enumerate_contexts(corpus_names(SMALL_SPEC), 2)
+        assert len(signs_per_check) == len(contexts) * 4
+        assert set(signs_per_check) == {0}
 
     def test_report_round_trips(self):
         report = verify_observation_lemma(CorpusSpec(1, 1, 0, 1, False))
