@@ -56,10 +56,10 @@ hashes the certificate of that labelling, so diagrams are isomorphic iff their
 signatures are equal.  ``isomorphic`` first looks for an explicit isomorphism
 that pairs each port with the same port of its image (``_witness``, one walk
 from the interface), which two diagrams built in one port order have, and
-compares signatures only when the walk fails; signatures still hash and
-intern top-level forms (``translate.TopDiagram``).  A diagram caches
-nothing; only values that never change keep a signature: a boxed body
-(``_body_signature``) and a top-level form (``translate.TopDiagram.sig``).
+compares signatures only when the walk fails.  A top-level form
+(``translate.TopDiagram``) hashes a key read off its nodes, and is signed only
+when keys collide and the walk fails.  A diagram caches nothing; signatures
+are kept only by boxed bodies (``_body_signature``) and ``TopDiagram.sig``.
 
 The labelled graph inlines the body of each thunk with two or more captured
 inputs (``_graph``): the captured wires run from their producers straight to

@@ -122,7 +122,7 @@ class LTS:
         n = len(self.states)
         if n >= self.max_states and state not in self.index:
             raise StateBudgetError(f"more than {self.max_states} reachable states")
-        # one lookup, so the state is hashed once; a top diagram hashes its signature
+        # one lookup, so the state is hashed once; a top diagram hashes its key, not its signature
         i = self.index.setdefault(state, n)
         if i == n:
             self.states.append(state)

@@ -17,7 +17,9 @@ number of communication permits in parallel with an open diagram (a
 translation, or a plugged context), as further inputs of its output's par
 node if it has one, and optionally instantiates every free name with a
 name-constant node, closing the domain.  It owns the diagram, and normalizes
-it in place.
+it in place.  A top-level form hashes a key of integers read off its nodes,
+the same in every run; two forms with equal keys are compared by the witness
+walk of ``diagram._witness``, and signed only when the walk fails.
 """
 
 from __future__ import annotations
@@ -33,10 +35,12 @@ from .diagram import (
     Node,
     P,
     Port,
+    _body_signature,
     _normalized,
     _rebuild_fanin,
     _rebuild_fanout,
     _replace_nodes,
+    _witness,
     signature,
 )
 from .syntax import Hole, Input, Name, New, Output, Par, Process, Stop, fold_par, par_leaves
@@ -121,20 +125,44 @@ def translate(p: Process) -> Diagram:
     return _open(p)[0]
 
 
+def _code(text: str) -> int:
+    """An integer for a string; unlike a str hash, its hash is the same in every run."""
+    return int.from_bytes(text.encode(), "big")
+
+
 @dataclass(eq=False)
 class TopDiagram:
     """A normalized diagram of a whole running term, permits included.
 
-    The diagram is never changed, so its signature is computed once, on the
-    first read of ``sig``.  An open form's domain ports stand for the names
-    of ``name_order``, so its ``sig`` covers their ids too; an instantiated
-    form has an empty domain, and its ``sig`` is its diagram's signature.
-    Equality is ``top_equal`` and the hash is the ``sig``'s, so a set or dict
-    of top diagrams keeps one entry per diagram-equality class.
+    The diagram is never changed, so its ``key`` and signature are computed
+    once each, on first read.  An open form's domain ports stand for the names
+    of ``name_order``, so its ``key`` and ``sig`` cover their ids too; an
+    instantiated form has an empty domain, and its ``sig`` is its diagram's
+    signature.  Equality is ``top_equal`` and the hash is the ``key``'s, so a
+    set or dict of top diagrams keeps one entry per diagram-equality class and
+    signs a state only when its key collides with a state it does not witness.
     """
 
     diagram: Diagram
     name_order: tuple[Name, ...]
+
+    @functools.cached_property
+    def key(self) -> tuple:
+        """An invariant of ``sig``, of integers only, so its hash is run-stable.
+
+        The nodes enter as the hash of their sorted (kind, arity, captures,
+        label, body) tuples, one small integer instead of a tuple per node
+        kept for the life of the state.  The body of a thunk with two or more
+        captures counts 0: the exchange law permutes its domain, so its own
+        signature is not an invariant.
+        """
+        d = self.diagram
+        nodes = sorted(
+            (_code(n.kind), n.arity, n.cap, _code(n.label),
+             int(_body_signature(n.inner)[:16], 16) if n.inner is not None and n.cap < 2 else 0)
+            for n in d.nodes.values())
+        names = tuple(_code(name.id) for name in self.name_order) if d.dom else ()
+        return len(d.dom), hash(tuple(nodes)), names, len(d._dst)
 
     @functools.cached_property
     def sig(self) -> str:
@@ -149,7 +177,7 @@ class TopDiagram:
         return top_equal(self, other)
 
     def __hash__(self) -> int:
-        return hash(self.sig)
+        return hash(self.key)
 
 
 def seal(d: Diagram, names: tuple[Name, ...], catalysts: int = 1,
@@ -189,8 +217,19 @@ def translate_top(p: Process, catalysts: int = 1, instantiate: bool = True) -> T
 
 
 def top_equal(a: TopDiagram, b: TopDiagram) -> bool:
-    """Diagram equality of top-level forms: equal signatures, and equal domain names if open."""
-    return a.sig == b.sig
+    """Diagram equality of top-level forms: equal signatures, and equal domain names if open.
+
+    Equal signatures imply equal keys, and a witness implies equal signatures,
+    so only a pair with equal keys that the witness misses is signed.  Once
+    both are signed, their signatures decide at once: a dict bucket of k
+    distinct diagrams that share a key runs about k walks, not k * k.
+    """
+    if a is b:
+        return True
+    if a.key != b.key:
+        return False
+    signed = "sig" in vars(a) and "sig" in vars(b)  # where the cached_property keeps sig
+    return not signed and _witness(a.diagram, b.diagram) or a.sig == b.sig
 
 
 # ---------------------------------------------------------------------------

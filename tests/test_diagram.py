@@ -45,7 +45,14 @@ from pitwo.rewrite import (
     strip_permits,
 )
 from pitwo.syntax import Hole, Input, Name, New, Output, Par, free_names, parse
-from pitwo.translate import plug_diagram, top_equal, translate, translate_context, translate_top
+from pitwo.translate import (
+    TopDiagram,
+    plug_diagram,
+    top_equal,
+    translate,
+    translate_context,
+    translate_top,
+)
 
 
 def closed_proc(label: str) -> Diagram:
@@ -577,9 +584,12 @@ class TestColoring:
         td = translate_top(parse("a!(b) | b!(a)"))  # no thunk body to sign
         for mod in (dg, sys.modules["pitwo.translate"]):  # pitwo.translate is also a function
             monkeypatch.setattr(mod, "signature", counted)
+        # the key hashes a top diagram, and a diagram is equal to itself
         hash(td)
         hash(td)
         assert top_equal(td, td)
+        assert signed == []
+        assert td.sig == td.sig
         assert signed == [td.diagram]
         assert td.sig == signature(td.diagram)
 
@@ -640,24 +650,41 @@ class TestColoring:
         assert outs[0].startswith(signature(first) + "\n" + dg.dumps(first))
 
 
+def tied_pool(p, q, shapes: list[str], seed: int) -> list[Diagram]:
+    """Diagrams of p, q, tied shapes and their rewrites, with relabelled and alpha-renamed copies."""
+    tops = [translate_top(t) for t in (p, q, Par(p, p), *map(parse, shapes))]
+    pool = [normalize(translate(p)), normalize(translate(q))]
+    pool += [td.diagram for td in tops]
+    pool += [apply_comm(td, r).diagram for td in tops[:3] for r in find_diagram_redexes(td)]
+    rng = random.Random(seed)
+    # alpha-variants whose thunks capture their names in another order:
+    # with every free name restricted, each captured name is renamed
+    for t in (p, q):
+        closed = functools.reduce(lambda body, x: New(x, body), sorted(free_names(t)), t)
+        pool += [translate_top(u).diagram for u in (closed, rename_restrictions(closed, rng))]
+    # every other copy permutes par inputs and copy outputs, which the witness misses
+    pool += [relabel(x, rng, ports=i % 2 == 1) for i, x in enumerate(pool)]
+    return pool
+
+
+# Pairs of terms whose thunks take their captured wires in different orders,
+# and whether the diagrams are isomorphic up to the exchange law.
+EXCHANGE_PAIRS = [
+    ("(new p)(new q)(new r)(a?() => (p!(q) | q!(r) | r!(p)))",
+     "(new p)(new r)(new q)(a?() => (p!(r) | r!(q) | q!(p)))", True),
+    ("(new x)(new y)(y?() => x?(x) => (y!() | u!()))",
+     "(new m86)(new c60)(c60?() => m86?(x) => (c60!() | u!()))", True),
+    ("a?() => (p!(q) | q!(r) | r!(p))", "a?() => (p!(r) | r!(q) | q!(p))", False),
+]
+
+
 class TestCanonicalLabelling:
     @settings(max_examples=60, deadline=None)
     @given(process_st(max_leaves=4), process_st(max_leaves=4),
            st.lists(st.sampled_from(TIED_SHAPES), min_size=2, max_size=2),
            st.integers(0, 2**32))
     def test_signature_equality_is_naive_isomorphism(self, p, q, shapes, seed):
-        tops = [translate_top(t) for t in (p, q, Par(p, p), *map(parse, shapes))]
-        pool = [normalize(translate(p)), normalize(translate(q))]
-        pool += [td.diagram for td in tops]
-        pool += [apply_comm(td, r).diagram for td in tops[:3] for r in find_diagram_redexes(td)]
-        rng = random.Random(seed)
-        # alpha-variants whose thunks capture their names in another order:
-        # with every free name restricted, each captured name is renamed
-        for t in (p, q):
-            closed = functools.reduce(lambda body, x: New(x, body), sorted(free_names(t)), t)
-            pool += [translate_top(u).diagram for u in (closed, rename_restrictions(closed, rng))]
-        # every other copy permutes par inputs and copy outputs, which the witness misses
-        pool += [relabel(x, rng, ports=i % 2 == 1) for i, x in enumerate(pool)]
+        pool = tied_pool(p, q, shapes, seed)
         sigs = [signature(x) for x in pool]
         for x, sx in zip(pool, sigs):
             for y, sy in zip(pool, sigs):
@@ -666,13 +693,7 @@ class TestCanonicalLabelling:
                 assert dg.isomorphic(x, y) == same
                 assert same or not dg._witness(x, y)
 
-    @pytest.mark.parametrize("left, right, same", [
-        ("(new p)(new q)(new r)(a?() => (p!(q) | q!(r) | r!(p)))",
-         "(new p)(new r)(new q)(a?() => (p!(r) | r!(q) | q!(p)))", True),
-        ("(new x)(new y)(y?() => x?(x) => (y!() | u!()))",
-         "(new m86)(new c60)(c60?() => m86?(x) => (c60!() | u!()))", True),
-        ("a?() => (p!(q) | q!(r) | r!(p))", "a?() => (p!(r) | r!(q) | q!(p))", False),
-    ])
+    @pytest.mark.parametrize("left, right, same", EXCHANGE_PAIRS)
     def test_oracle_permutes_captured_wires(self, left, right, same):
         # the translation captures names in name order, so each pair's thunks
         # take their captured wires in different orders
@@ -732,3 +753,73 @@ class TestCanonicalLabelling:
         signature(d)
         assert time.perf_counter() - t0 < 1.0
         assert signature(d) == signature(relabel(d, random.Random(0)))
+
+
+def assert_key_contract(pool: list[Diagram]) -> None:
+    """On every pair: equal signatures imply equal keys and hashes; top_equal is sig equality."""
+    tops = [TopDiagram(x, ()) for x in pool]
+    for x, a in zip(pool, tops):
+        for y, b in zip(pool, tops):
+            same = a.sig == b.sig
+            # fresh forms, not yet signed, so the key and the witness decide first
+            assert top_equal(TopDiagram(x, ()), TopDiagram(y, ())) == same
+            assert not same or (a.key == b.key and hash(a) == hash(b))
+
+
+# A term whose thunk captures a name, and one left open over its free names.
+KEY_HASH_TERMS = [("a?(x) => x!(b) | b?() => (a!() | c!(a))", True),
+                  ("a?(x) => x!(b) | c!()", False)]
+
+
+class TestTopKey:
+    """A top diagram hashes its key and signs only when a key collision is not witnessed."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(process_st(max_leaves=4), process_st(max_leaves=4),
+           st.lists(st.sampled_from(TIED_SHAPES), min_size=2, max_size=2),
+           st.integers(0, 2**32))
+    def test_key_agrees_with_signature_on_tied_pools(self, p, q, shapes, seed):
+        assert_key_contract(tied_pool(p, q, shapes, seed))
+
+    def test_key_agrees_with_signature_on_tied_terms(self):
+        pool = [translate_top(parse(t)).diagram for t in TIED_TERMS]
+        rng = random.Random(0)
+        pool += [relabel(x, rng, ports=ports) for x in pool for ports in (False, True)]
+        assert_key_contract(pool)
+
+    @pytest.mark.parametrize("left, right, same", EXCHANGE_PAIRS)
+    def test_key_forgets_the_capture_order(self, left, right, same):
+        x, y = (translate_top(parse(t)).diagram for t in (left, right))
+        assert_key_contract([x, y, relabel(y, random.Random(0), ports=True)])
+        assert top_equal(TopDiagram(x, ()), TopDiagram(y, ())) == same
+
+    def test_a_shared_key_costs_one_walk_per_diagram(self, monkeypatch):
+        # each permutation sends on every name once and sends every name once:
+        # six diagrams, pairwise distinct, with one key
+        tops = [translate_top(parse(" | ".join(f"{x}!({y})" for x, y in zip("abc", perm))))
+                for perm in itertools.permutations("abc")]
+        walks, witness = [], dg._witness
+        monkeypatch.setattr(sys.modules["pitwo.translate"], "_witness",
+                            lambda a, b: walks.append(a) or witness(a, b))
+        assert len(set(tops)) == 6
+        assert len({td.key for td in tops}) == 1
+        assert len(walks) < len(tops)
+
+    def test_hash_ignores_the_hash_seed(self):
+        code = (
+            "from pitwo.syntax import parse\n"
+            "from pitwo.translate import translate_top\n"
+            f"for text, closed in {KEY_HASH_TERMS!r}:\n"
+            "    print(hash(translate_top(parse(text), 1, closed)))\n"
+        )
+        src = str(Path(pitwo.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        outs = [
+            subprocess.run(
+                [sys.executable, "-c", code], check=True, capture_output=True, text=True,
+                env=dict(os.environ, PYTHONPATH=path, PYTHONHASHSEED=seed),
+            ).stdout
+            for seed in ("1", "2")
+        ]
+        here = [hash(translate_top(parse(text), 1, closed)) for text, closed in KEY_HASH_TERMS]
+        assert outs[0] == outs[1] == "".join(f"{h}\n" for h in here)

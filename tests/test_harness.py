@@ -1,3 +1,4 @@
+import sys
 from itertools import combinations
 
 import pytest
@@ -182,6 +183,17 @@ class TestDiagramLTS:
         j = lts.intern(translate_top(parse("b!() | a!()"), 1, True))
         k = lts.intern(translate_top(parse("a!()"), 1, True))
         assert i == j != k
+
+    def test_a_diamond_is_interned_without_signing(self, monkeypatch):
+        # two firing orders reach one state: its key matches, and a witness decides
+        signature, signed = dg.signature, []
+        for mod in (dg, sys.modules["pitwo.translate"]):  # pitwo.translate is also a function
+            monkeypatch.setattr(mod, "signature", lambda d: signed.append(d) or signature(d))
+        lts = DiagramLTS()
+        lts.intern(translate_top(parse("a!() | a?() => c!() | b!() | b?() => d!()")))
+        lts.close()
+        assert len(lts.states) == 4
+        assert not any(d is td.diagram for d in signed for td in lts.states)
 
     def test_budget_bounds_the_closure(self):
         lts = DiagramLTS()
