@@ -32,9 +32,9 @@ changed: ``Diagram.add`` stores the normal form of the body it is given, and
 ``Diagram.put`` (which ``_splice`` uses) adds a node as it is.  Copies of a
 diagram, and translations of one input term, share nodes and bodies.  Code
 that needs a changed body replaces the node with one boxing its normal form.
-Every rewriting step (a beta step, plugging a hole, firing a redex) is
-``_replace_nodes``: it removes the matched nodes and splices the rule's
-right-hand side into the wire ends they met.
+Every rewriting step is ``_replace_nodes``, which removes the matched nodes
+and splices a right-hand side into the wire ends they met; a firing splices
+the receiver's body and rebuilds only what it touched (``rewrite._fire_on``).
 
 Normalization is one ordered pass, in place on a diagram the caller owns
 (``_normalized``) or on one copy (``normalize``), and never descends into a
@@ -451,13 +451,13 @@ def apply_ev(thunk: Diagram, args: Diagram) -> Diagram:
 
 def _detach(d: Diagram, nid: int) -> None:
     """Disconnect every wire at node nid and remove it."""
-    for p in d.in_ports(nid):
-        if p in d._src:
-            d.disconnect(p)
-    for p in d.out_ports(nid):
-        if p in d._dst:
-            d.disconnect(d.consumer(p))
-    del d.nodes[nid]
+    ins, outs = d.nodes.pop(nid).ports()
+    for k in range(len(ins)):
+        if (src := d._src.pop(("in", nid, k), None)) is not None:
+            del d._dst[src]
+    for k in range(len(outs)):
+        if (dst := d._dst.pop(("out", nid, k), None)) is not None:
+            del d._src[dst]
 
 
 def _replace_nodes(d: Diagram, nids: Sequence[int], rule: Diagram,

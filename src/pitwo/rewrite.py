@@ -7,14 +7,16 @@ fan-outs to one shared name source, together with a communication permit
 how many prefixes match: the permit is the control mechanism that keeps the
 eager rewriting in step with the calculus.
 
-Firing is one rewriting step (``diagram._replace_nodes``): the matched
-send/receive pair is removed and the comm rule's right-hand side is spliced
-into its boundary.  That right-hand side (``_comm_rule``) ends both subject
-wires in discards, applies the receiver's continuation to the message names
-in the send's slot of the multiset (the beta step of normalization then
-inlines the boxed continuation), and puts a stop in the receive's slot.  The
-rest of the multiset, the permit included, is left alone: the permit
-enables the rewrite but is not spent.
+Firing is one rewriting step (``diagram._replace_nodes``) on a normal
+diagram that leaves it normal: the send, the receive and the receiver's
+thunk are replaced by the thunk's body (the comm step and its beta step at
+once), fed the message names and the captured names, with its result in the
+send's slot of the multiset.  Only what the step touched is rebuilt: the
+multiset's par node, with the body's result leaves in the send's slot and
+no receive's slot, and the copy tree under each name source that fed a
+removed node, over its remaining leaves.  The rest of the multiset, the
+permit included, is left alone: the permit enables the rewrite but is not
+spent.
 
 A redex is what ``find_diagram_redexes`` finds, and nothing else decides it:
 ``apply_comm`` and ``apply_concurrent`` check their input against the finder,
@@ -27,11 +29,11 @@ permit: with k permits, at most k disjoint redexes fire at once.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, replace
 from itertools import combinations
 
-from .diagram import Diagram, Port, _normalized, _replace_nodes, generator, tensor
+from .diagram import (Diagram, Port, _detach, _normalized, _rebuild_fanin, _rebuild_fanout,
+                      _replace_nodes, generator)
 from .translate import TopDiagram
 
 
@@ -74,30 +76,24 @@ def trace_subject(d: Diagram, port: Port) -> Port:
     return port
 
 
-def _permits(d: Diagram) -> list[int]:
-    """The permit (comm) nodes of the top-level multiset, in id order."""
-    return sorted(c for c in _spine(d)[1] if d.nodes[c].kind == "comm")
+def _components(d: Diagram) -> dict[str, list[int]]:
+    """The node ids of the top-level multiset by kind, each in id order."""
+    by_kind: dict[str, list[int]] = {}
+    for c in sorted(_spine(d)[1]):
+        by_kind.setdefault(d.nodes[c].kind, []).append(c)
+    return by_kind
 
 
 def find_diagram_redexes(td: TopDiagram) -> list[DiagramRedex]:
     """All (send, receive) matches in the top-level multiset, each gated by the first permit."""
     d = td.diagram
-    permits = _permits(d)
-    if not permits:
+    comps = _components(d)
+    if "comm" not in comps:
         return []
-    _, comps = _spine(d)
-    sends = sorted(c for c in comps if d.nodes[c].kind == "send")
-    recvs = sorted(c for c in comps if d.nodes[c].kind == "recv")
-    redexes = []
-    for o in sends:
-        for i in recvs:
-            if d.nodes[o].arity != d.nodes[i].arity:
-                continue
-            so = trace_subject(d, d.producer(("in", o, 0)))
-            si = trace_subject(d, d.producer(("in", i, 0)))
-            if so == si:
-                redexes.append(DiagramRedex(o, i, permits[0], d.nodes[o].arity))
-    return redexes
+    sends, recvs = comps.get("send", []), comps.get("recv", [])
+    subject = {c: trace_subject(d, d.producer(("in", c, 0))) for c in sends + recvs}
+    return [DiagramRedex(o, i, comps["comm"][0], d.nodes[o].arity) for o in sends for i in recvs
+            if d.nodes[o].arity == d.nodes[i].arity and subject[o] == subject[i]]
 
 
 def _disjoint(rs: tuple[DiagramRedex, ...]) -> bool:
@@ -106,37 +102,78 @@ def _disjoint(rs: tuple[DiagramRedex, ...]) -> bool:
     return len(nodes) == len(set(nodes))
 
 
-@functools.cache
-def _comm_rule(n: int) -> Diagram:
-    """The comm rule's right-hand side at arity n: N.N.(N^n -o P).N^n -> P.P.
-
-    Its domain takes the send's and the receive's subjects, the continuation
-    and the message names; its codomain fills the send's and the receive's
-    slots of the multiset.
-    """
-    return tensor(tensor(tensor(generator("discard"), generator("discard")),
-                         generator("apply", arity=n)), generator("stop"))
-
-
 def _fire_on(d: Diagram, r: DiagramRedex) -> None:
-    """Rewrite one redex of d in place, which the caller has checked; caller normalizes."""
+    """Fire one checked redex of the normal diagram d in place, leaving d normal."""
     o, i = r.output_node, r.input_node
-    prods = [d.producer(("in", o, 0)), d.producer(("in", i, 0)), d.producer(("in", i, 1)),
-             *(d.producer(("in", o, 1 + t)) for t in range(r.arity))]
-    cons = [d.consumer(("out", o, 0)), d.consumer(("out", i, 0))]
-    _replace_nodes(d, (o, i), _comm_rule(r.arity), prods, cons)
+    t = d.producer(("in", i, 1))[1]
+    spine, slot = d.consumer(("out", o, 0))[1:]
+    prods = [*(d.producer(("in", o, 1 + k)) for k in range(r.arity)),
+             *(d.producer(("in", t, j)) for j in range(d.nodes[t].cap))]
+    sources = {trace_subject(d, p)
+               for p in (d.producer(("in", o, 0)), d.producer(("in", i, 0)), *prods)}
+    _replace_nodes(d, (o, i, t), d.nodes[t].inner, prods, [("in", spine, slot)])
+    _respine(d, spine)
+    # in root id order, as the normalization pass met them: new ids keep its relative order
+    for src in sorted(sources, key=lambda s: d.consumer(s)[1]):
+        _prune(d, src)
+
+
+def _respine(d: Diagram, spine: int) -> None:
+    """Rebuild the spine par over its wired slots, opening the body's result par or stop."""
+    doomed, leaves = [spine], []
+    for k in range(d.nodes[spine].arity):
+        p = d._src.get(("in", spine, k))  # None in the receive's slot
+        if p is not None and d.nodes[p[1]].kind in ("par", "stop"):
+            doomed.append(p[1])
+            leaves += [d.producer(q) for q in d.in_ports(p[1])]
+        elif p is not None:
+            leaves.append(p)
+    outer = d.consumer(("out", spine, 0))
+    for nid in doomed:
+        _detach(d, nid)
+    _rebuild_fanin(d, leaves, outer)
+
+
+def _prune(d: Diagram, src: Port) -> None:
+    """Rebuild the copy tree under src over its wired, non-discard leaves, where it needs it.
+
+    A name or fresh source left with no leaf is deleted, and a domain port gets a discard.
+    """
+    root = d.consumer(src)
+    kind = d.nodes[root[1]].kind
+    if kind not in ("copy", "discard") or kind == "discard" and src[0] == "dom":
+        return
+    doomed, leaves, stack = [], [], [root]
+    while stack:
+        port = stack.pop()
+        node = d.nodes[port[1]]
+        if node.kind == "copy":
+            outs = [d._dst.get(("out", port[1], k)) for k in range(node.arity)]
+            stack += [c for c in reversed(outs) if c is not None]
+        if node.kind in ("copy", "discard"):
+            doomed.append(port[1])
+        else:
+            leaves.append(port)
+    if kind == "copy" and doomed == [root[1]] and len(leaves) == d.nodes[root[1]].arity:
+        return  # one copy over wired leaves: already normal
+    for nid in doomed:
+        _detach(d, nid)
+    if leaves or src[0] == "dom":
+        _rebuild_fanout(d, src, leaves)
+    else:
+        _detach(d, src[1])
 
 
 def _fire(td: TopDiagram, rs: tuple[DiagramRedex, ...]) -> TopDiagram:
-    """Fire a valid joint step of td on one copy, then normalize that copy in place."""
+    """Fire a valid joint step of td on one copy, one redex at a time, each leaving it normal."""
     d = td.diagram.copy()
     for r in rs:
         _fire_on(d, r)
-    return TopDiagram(_normalized(d), td.name_order)
+    return TopDiagram(d, td.name_order)
 
 
 def apply_comm(td: TopDiagram, r: DiagramRedex) -> TopDiagram:
-    """Fire one redex; the permit survives and the result is normalized."""
+    """Fire one redex; the permit survives and the result is normal."""
     return apply_concurrent(td, (r,))
 
 
@@ -168,7 +205,7 @@ def concurrent_step(td: TopDiagram, permits: int | None = None) -> list[tuple[Di
     Each set fires jointly in one parallel step; every member is assigned a
     distinct permit node.  With one permit this degenerates to single steps.
     """
-    permit_ids = _permits(td.diagram)
+    permit_ids = _components(td.diagram).get("comm", [])
     k = len(permit_ids) if permits is None else min(permits, len(permit_ids))
     redexes = find_diagram_redexes(td)
     joint = [rs for size in range(1, k + 1) for rs in combinations(redexes, size) if _disjoint(rs)]
@@ -178,13 +215,13 @@ def concurrent_step(td: TopDiagram, permits: int | None = None) -> list[tuple[Di
 
 
 def apply_concurrent(td: TopDiagram, rs: tuple[DiagramRedex, ...]) -> TopDiagram:
-    """Fire a joint step of td, then normalize once.
+    """Fire a joint step of td, one redex at a time; each firing leaves the diagram normal.
 
     Raises ``StaleDiagramRedexError`` unless rs is a joint step by the rule in
     the module docstring.
     """
     found = {(r.output_node, r.input_node, r.arity) for r in find_diagram_redexes(td)}
-    permits = _permits(td.diagram)
+    permits = _components(td.diagram).get("comm", [])
     if not (all((r.output_node, r.input_node, r.arity) in found and r.catalyst in permits
                 for r in rs)
             and _disjoint(rs) and len({r.catalyst for r in rs}) == len(rs)):

@@ -1,14 +1,21 @@
-"""The axiom-closure oracle for structural congruence.
+"""The axiom-closure oracle for structural congruence, and the reference firing.
 
 A breadth-first closure that applies single axiom steps (in both directions)
 at arbitrary subterm positions and tests reachability up to
 alpha-equivalence.  It shares nothing with ``canonical_form`` beyond the
 term syntax, so it checks the congruence by an independent route.
+
+``fire_by_comm_rule`` fires diagram redexes the long way, by the comm rule
+and a whole-diagram normalization, to check the local firing of ``rewrite``.
 """
 
 from __future__ import annotations
 
+import functools
+
 from pitwo.congruence import term_size
+from pitwo.diagram import Diagram, _normalized, _replace_nodes, generator, tensor
+from pitwo.rewrite import DiagramRedex
 from pitwo.syntax import (
     Input,
     New,
@@ -20,6 +27,7 @@ from pitwo.syntax import (
     fresh_name,
     substitute,
 )
+from pitwo.translate import TopDiagram
 
 
 def alpha_key(p: Process) -> tuple:
@@ -74,8 +82,16 @@ def _axiom_neighbors(p: Process):
             pass
 
 
-def congruence_closure_keys(p: Process, size_cap: int, max_depth: int = 10**9) -> frozenset[tuple]:
-    """Alpha-keys of every term reachable from p by axiom steps within the cap."""
+class ClassBudgetError(Exception):
+    """An enumeration of a congruence class met more members than its budget allows."""
+
+
+def congruence_closure_keys(p: Process, size_cap: int, max_depth: int = 10**9,
+                            budget: int | None = None) -> frozenset[tuple]:
+    """Alpha-keys of every term reachable from p by axiom steps within the cap.
+
+    Raises ``ClassBudgetError`` once more than ``budget`` keys are found.
+    """
     start = alpha_key(p)
     seen = {start}
     frontier = [p]
@@ -91,6 +107,8 @@ def congruence_closure_keys(p: Process, size_cap: int, max_depth: int = 10**9) -
                 if k not in seen:
                     seen.add(k)
                     nxt.append(t2)
+                    if budget is not None and len(seen) > budget:
+                        raise ClassBudgetError(f"closure over {budget} keys")
         frontier = nxt
     return frozenset(seen)
 
@@ -108,3 +126,33 @@ def oracle_congruent(p: Process, q: Process, depth: int, size_cap: int | None = 
     cap = size_cap if size_cap is not None else max(term_size(p), term_size(q)) + 1
     keys = congruence_closure_keys(p, cap, max_depth=depth)
     return target in keys
+
+
+# ---------------------------------------------------------------------------
+# Reference firing: the comm rule spliced in as one rewriting step, then the
+# whole-diagram normalization pass, which fires the beta step, drops the stop
+# in the receive's slot and the discards on both subjects.
+
+
+@functools.cache
+def _comm_rule(n: int) -> Diagram:
+    """The comm rule's right-hand side at arity n: N.N.(N^n -o P).N^n -> P.P.
+
+    Its domain takes the send's and the receive's subjects, the continuation
+    and the message names; its codomain fills the send's and the receive's
+    slots of the multiset.
+    """
+    return tensor(tensor(tensor(generator("discard"), generator("discard")),
+                         generator("apply", arity=n)), generator("stop"))
+
+
+def fire_by_comm_rule(td: TopDiagram, rs: tuple[DiagramRedex, ...]) -> TopDiagram:
+    """The joint step rs of td fired through ``_comm_rule``, then normalized once."""
+    d = td.diagram.copy()
+    for r in rs:
+        o, i = r.output_node, r.input_node
+        prods = [d.producer(("in", o, 0)), d.producer(("in", i, 0)), d.producer(("in", i, 1)),
+                 *(d.producer(("in", o, 1 + t)) for t in range(r.arity))]
+        cons = [d.consumer(("out", o, 0)), d.consumer(("out", i, 0))]
+        _replace_nodes(d, (o, i), _comm_rule(r.arity), prods, cons)
+    return TopDiagram(_normalized(d), td.name_order)

@@ -1,10 +1,17 @@
 import time
+from itertools import islice
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 
-from conftest import congruence_class_terms, naive_canonical_form, process_st
+from conftest import (
+    CLASS_BUDGET,
+    ClassBudgetError,
+    congruence_class_terms,
+    naive_canonical_form,
+    process_st,
+)
 from oracles import alpha_key, congruence_closure_keys, oracle_congruent
 from pitwo import congruence
 from pitwo.congruence import _canonical_form, canonical_form, congruent, term_size
@@ -124,9 +131,16 @@ class TestOracle:
     @settings(max_examples=60, deadline=None)
     @given(process_st(max_leaves=4))
     def test_agreement_with_canonical_form(self, p):
-        variants = list(congruence_class_terms(p))
-        cap = max(term_size(t) for t in variants) + 1
-        keys = congruence_closure_keys(p, cap)
+        try:
+            variants = list(congruence_class_terms(p, budget=CLASS_BUDGET))
+            cap = max(term_size(t) for t in variants) + 1
+            keys = congruence_closure_keys(p, cap, budget=4 * CLASS_BUDGET)
+        except ClassBudgetError as exc:
+            # too large a class for the oracles: say so, and check its first members
+            event(f"oracle budget: {exc}")
+            for q in islice(congruence_class_terms(p), 12):
+                assert congruent(p, q)
+            return
         for q in variants:
             assert congruent(p, q)
             assert alpha_key(q) in keys

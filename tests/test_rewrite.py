@@ -5,12 +5,15 @@ import hypothesis.strategies as st
 from hypothesis import given, settings
 
 from conftest import process_st, soup_st
-from pitwo.diagram import Diagram, HomT, N, P
+from oracles import _comm_rule, fire_by_comm_rule
+from pitwo import diagram as dg, harness, rewrite
+from pitwo.diagram import Diagram, HomT, N, P, _witness
+from pitwo.harness import ARITY2_SPEC, SMALL_SPEC, enumerate_terms, verify_reduction_lemma
 from pitwo.opsem import reduce_step, successors
 from pitwo.rewrite import (
     DiagramRedex,
     StaleDiagramRedexError,
-    _comm_rule,
+    _fire,
     apply_comm,
     apply_concurrent,
     comm_step,
@@ -131,11 +134,68 @@ class TestCommStep:
         p = parse(text)
         assert {translate_top(q) for q in successors(p)} == set(comm_step(translate_top(p)))
 
+
+class TestReferenceFiring:
+    """Each firing is, port for port, the comm rule spliced in and then normalized."""
+
     @pytest.mark.parametrize("n", range(4))
     def test_comm_rule_interface(self, n):
         rule = _comm_rule(n)
         rule.validate()
         assert rule.dom == [N, N, HomT(n), *[N] * n] and rule.cod == [P, P]
+
+    @staticmethod
+    def assert_every_step_matches(p):
+        """Every single and joint step of p's top forms, 1-3 permits, open or closed."""
+        for permits in (1, 2, 3):
+            for instantiate in (True, False):
+                td = translate_top(p, permits, instantiate)
+                for rs in [(r,) for r in find_diagram_redexes(td)] + concurrent_step(td):
+                    fired = _fire(td, rs)
+                    fired.diagram.validate()
+                    assert _witness(fired.diagram, fire_by_comm_rule(td, rs).diagram), (p, rs)
+
+    @pytest.mark.parametrize("spec", [SMALL_SPEC, ARITY2_SPEC], ids=["small", "arity2"])
+    def test_corpus_steps_match(self, spec):
+        for p in enumerate_terms(spec):
+            self.assert_every_step_matches(p)
+
+    @settings(max_examples=60, deadline=None)
+    @given(soup_st())
+    def test_soup_steps_match(self, p):
+        self.assert_every_step_matches(p)
+
+    def test_comm_step_rebuilds_only_the_spine_and_touched_trees(self, monkeypatch):
+        # a firing never runs the whole-diagram pass, and rebuilds the spine once
+        calls = {"fire": 0, "pass": 0, "fanin": 0}
+        inside = []  # non-empty while comm_step runs; only those calls count
+
+        def counting(name, f):
+            def wrapped(*args):
+                calls[name] += bool(inside)
+                return f(*args)
+            return wrapped
+
+        def traced_comm_step(td):
+            inside.append(td)
+            try:
+                return comm_step(td)
+            finally:
+                inside.pop()
+
+        monkeypatch.setattr(rewrite, "_fire_on", counting("fire", rewrite._fire_on))
+        monkeypatch.setattr(rewrite, "_rebuild_fanin", counting("fanin", rewrite._rebuild_fanin))
+        for module in (dg, rewrite):  # rewrite imports the pass for strip_permits
+            monkeypatch.setattr(module, "_normalized", counting("pass", module._normalized))
+        monkeypatch.setattr(dg, "_flatten", counting("pass", dg._flatten))
+        monkeypatch.setattr(harness, "comm_step", traced_comm_step)
+        soup = parse("(a!(b) | a?(y) => (y!() | y!(a)) | a?(z) => 0) | (new u)(u!(b) | u?(v) => v!(u))"
+                     " | b?() => a!(a)")
+        for td in (translate_top(soup, 1, True), translate_top(soup, 2, False)):
+            assert traced_comm_step(td)
+        assert verify_reduction_lemma(SMALL_SPEC).passed
+        assert calls["fire"] == 3 + 3 + 24  # each soup form, then the SMALL_SPEC corpus
+        assert calls["pass"] == 0 and calls["fanin"] == calls["fire"]
 
 
 class TestConcurrent:
