@@ -33,18 +33,23 @@ changed: ``Diagram.add`` stores the normal form of the body it is given, and
 diagram, and translations of one input term, share nodes and bodies.  Code
 that needs a changed body replaces the node with one boxing its normal form.
 Every rewriting step is ``_replace_nodes``, which removes the matched nodes
-and splices a right-hand side into the wire ends they met; a firing splices
-the receiver's body and rebuilds only what it touched (``rewrite._fire_on``).
+and splices a right-hand side into the wire ends they met.  On a normal
+diagram, ``_splice_normal`` splices a normal right-hand side into one P slot
+and rebuilds only what it touched, so the diagram stays normal: firing a
+redex (``rewrite._fire_on``), plugging a hole and stripping a permit are
+each one such step.
 
-Normalization is one ordered pass, in place on a diagram the caller owns
-(``_normalized``) or on one copy (``normalize``), and never descends into a
-body: fire each apply fed by a thunk, rebuild each maximal par tree as one
-node without stops and each maximal copy tree as one node without discards,
-then delete each name or fresh source that feeds a discard.  One pass is
+Normalization is one ordered pass, in place (``_normalized``) or on one copy
+(``normalize``), that never descends into a body: fire each apply fed by a
+thunk, then rebuild each maximal par tree as one node without stops
+(``_respine``) and each maximal copy tree as one node without discards,
+deleting a name or fresh source left with no use (``_prune``).  One pass is
 enough because no step makes work for an earlier one: a normal body holds no
-apply, so splicing it makes no beta redex; par and copy trees share no wire
-type; and a deleted source-discard pair belongs to neither tree.  Tree walks
-use an explicit stack.
+apply, so splicing it makes no beta redex, and par and copy trees share no
+wire type.  Tree walks use an explicit stack.  Translation, sealing,
+plugging, firing and permit stripping build normal diagrams and never run
+the pass; ``equal`` runs it on both inputs, for diagrams that ``compose``,
+``tensor``, ``apply_ev`` and ``Diagram.add`` leave unnormalized.
 
 ``_refine`` colours a diagram with canonical integers until the number of
 colour classes stops changing, folding every round's table into one digest;
@@ -514,55 +519,94 @@ def _rebuild_fanout(d: Diagram, in_prod: Port, cons: list[Port]) -> None:
             d.connect(("out", c, k), cn)
 
 
-def _flatten(d: Diagram, kind: str, unit: str) -> None:
-    """Rebuild each maximal tree of ``kind`` nodes as one node without ``unit`` leaves.
+def trace_subject(d: Diagram, port: Port) -> Port:
+    """Follow a name wire backward through copy fan-outs to its source port."""
+    while port[0] == "out" and d.nodes[port[1]].kind == "copy":
+        port = d.producer(("in", port[1], 0))
+    return port
 
-    A par tree grows through par inputs, a copy tree through copy outputs;
-    leaves keep their left-to-right order.  Only trees that need it are rebuilt.
+
+def _splice_normal(d: Diagram, nids: Sequence[int], rule: Diagram,
+                   prods: list[Port], slot: Port) -> None:
+    """One rewriting step on a normal diagram that leaves it normal.
+
+    Removes the nodes nids and splices the normal ``rule``, fed by ``prods``,
+    with its result in ``slot`` (a par input or the codomain); then rebuilds
+    only that par and the copy tree under each name source that fed a removed node.
     """
-    fanin = kind == "par"
-    ports, peer = (d.in_ports, d.producer) if fanin else (d.out_ports, d.consumer)
+    sources = {trace_subject(d, d._src[("in", nid, k)])
+               for nid in nids for k, t in enumerate(d.nodes[nid].ports()[0]) if t is N}
+    _replace_nodes(d, nids, rule, prods, [slot])
+    if slot[0] == "in":
+        _respine(d, slot[1])
+    # in root id order, as the normalization pass meets them: new ids keep its relative order
+    for src in sorted(sources, key=lambda s: d.consumer(s)[1]):
+        _prune(d, src)
 
-    def kind_at(port: Port) -> str | None:
-        return d.nodes[port[1]].kind if port[0] in ("in", "out") else None
 
-    def children(nid: int) -> list[Port]:
-        return [peer(p) for p in ports(nid)]
+def _kind_at(d: Diagram, port: Port) -> str | None:
+    """The kind of the node at a port; None at the interface."""
+    return d.nodes[port[1]].kind if port[0] in ("in", "out") else None
 
-    for root in sorted(d.nodes):
-        node = d.nodes.get(root)
-        if node is None or node.kind != kind:
-            continue
-        outer = d.consumer(("out", root, 0)) if fanin else d.producer(("in", root, 0))
-        if kind_at(outer) == kind:
-            continue  # an inner node; its root rebuilds the whole tree
-        stack = children(root)[::-1]
-        if node.arity >= 2 and all(kind_at(c) not in (kind, unit) for c in stack):
-            continue
-        doomed, leaves = [root], []
-        while stack:
-            port = stack.pop()
-            if kind_at(port) == kind:
-                stack.extend(children(port[1])[::-1])
-            if kind_at(port) in (kind, unit):
-                doomed.append(port[1])
-            else:
-                leaves.append(port)
-        for nid in doomed:
-            _detach(d, nid)
-        if fanin:
-            _rebuild_fanin(d, leaves, outer)
+
+def _respine(d: Diagram, spine: int) -> None:
+    """Rebuild the par tree under spine as one par over its wired, non-stop leaves if it needs it.
+
+    Leaves keep their left-to-right order; a slot a step emptied is dropped.
+    """
+    def wired(nid: int) -> list[Port]:  # the producers of nid's wired inputs, last first
+        return [p for k in reversed(range(d.nodes[nid].arity))
+                if (p := d._src.get(("in", nid, k))) is not None]
+
+    doomed, leaves, stack = [spine], [], wired(spine)
+    while stack:
+        port = stack.pop()
+        kind = d.nodes[port[1]].kind if port[0] == "out" else None
+        if kind == "par":
+            stack += wired(port[1])
+        if kind in ("par", "stop"):
+            doomed.append(port[1])
         else:
-            _rebuild_fanout(d, outer, leaves)
+            leaves.append(port)
+    if doomed == [spine] and len(leaves) == d.nodes[spine].arity >= 2:
+        return  # one par over wired leaves: already normal
+    outer = d.consumer(("out", spine, 0))
+    for nid in doomed:
+        _detach(d, nid)
+    _rebuild_fanin(d, leaves, outer)
 
 
-def _drop_scalars(d: Diagram) -> None:
-    """Delete each name or fresh source whose one consumer is a discard."""
-    for nid in [n for n in sorted(d.nodes) if d.nodes[n].kind in ("name", "fresh")]:
-        cons = d.consumer(("out", nid, 0))
-        if cons[0] == "in" and d.nodes[cons[1]].kind == "discard":
-            _detach(d, nid)
-            _detach(d, cons[1])
+def _prune(d: Diagram, src: Port) -> None:
+    """Rebuild the copy tree under src over its wired, non-discard leaves if it needs it.
+
+    A name or fresh source left with no leaf is deleted, and a domain port gets a discard.
+    """
+    def wired(nid: int) -> list[Port]:  # the consumers of nid's wired outputs, last first
+        return [c for k in reversed(range(d.nodes[nid].arity))
+                if (c := d._dst.get(("out", nid, k))) is not None]
+
+    root = d.consumer(src)
+    kind = _kind_at(d, root)
+    if kind not in ("copy", "discard") or kind == "discard" and src[0] == "dom":
+        return
+    doomed, leaves, stack = [], [], [root]
+    while stack:
+        port = stack.pop()
+        kind = d.nodes[port[1]].kind if port[0] == "in" else None
+        if kind == "copy":
+            stack += wired(port[1])
+        if kind in ("copy", "discard"):
+            doomed.append(port[1])
+        else:
+            leaves.append(port)
+    if doomed == [root[1]] and len(leaves) == d.nodes[root[1]].arity >= 2:
+        return  # one copy over wired leaves: already normal
+    for nid in doomed:
+        _detach(d, nid)
+    if leaves or src[0] == "dom":
+        _rebuild_fanout(d, src, leaves)
+    else:
+        _detach(d, src[1])
 
 
 def normalize(d: Diagram) -> Diagram:
@@ -574,12 +618,15 @@ def _normalized(d: Diagram) -> Diagram:
     """Normalize d in place by the one ordered pass of the module docstring; returns d.
 
     Idempotent.  Bodies are normal from the moment they are boxed, so the pass
-    never descends into them.
+    never descends into them.  Trees are rebuilt in root id order.
     """
     _fire_betas(d)
-    _flatten(d, "par", "stop")
-    _flatten(d, "copy", "discard")
-    _drop_scalars(d)
+    for nid in [n for n in sorted(d.nodes) if d.nodes[n].kind == "par"]:
+        if nid in d.nodes and _kind_at(d, d.consumer(("out", nid, 0))) != "par":
+            _respine(d, nid)
+    for nid in [n for n in sorted(d.nodes) if d.nodes[n].kind in ("copy", "discard")]:
+        if nid in d.nodes and _kind_at(d, src := d.producer(("in", nid, 0))) != "copy":
+            _prune(d, src)
     return d
 
 
@@ -878,6 +925,8 @@ def isomorphic(a: Diagram, b: Diagram) -> bool:
 def equal(d1: Diagram, d2: Diagram) -> bool:
     """Diagram equality: isomorphism of normal forms, up to the exchange law.
 
+    Normalizes both inputs, which the combinators may have left unnormalized;
+    a caller that holds two normal diagrams calls ``isomorphic`` directly.
     Two diagrams built in the same port order meet a witness and are never
     signed; pairs it misses fall back to their signatures.
     """

@@ -42,7 +42,7 @@ from .translate import (
     translate_context,
     translate_top,
 )
-from .diagram import equal
+from .diagram import isomorphic
 
 
 # ---------------------------------------------------------------------------
@@ -421,8 +421,8 @@ def verify_contextual_congruence(spec: CorpusSpec = SMALL_SPEC, context_bound: i
     plugs = enumerate_terms(spec)[:max_plugs]
     report = VerificationReport("contextual-congruence", len(contexts), 0)
 
-    # Neither plug_diagram nor equal mutates its arguments, so each plug is
-    # translated once and each context once per distinct plug name order.
+    # Both sides are built normal and never mutated: each plug is translated once,
+    # each context once per plug name order, and isomorphic compares them as built.
     plug_diagrams = [translate(p) for p in plugs]
     orders = [tuple(sorted(free_names(p))) for p in plugs]
     for c in contexts:
@@ -433,7 +433,7 @@ def verify_contextual_congruence(spec: CorpusSpec = SMALL_SPEC, context_bound: i
                 ctxs[order] = translate_context(c, order)
             via_functor = plug_diagram(ctxs[order], f)
             direct = translate(plug_term(c, p))
-            if not equal(via_functor, direct):
+            if not isomorphic(via_functor, direct):
                 report.counterexamples.append({
                     "kind": "functoriality",
                     "context": pretty(c),

@@ -7,7 +7,7 @@ fan-outs to one shared name source, together with a communication permit
 how many prefixes match: the permit is the control mechanism that keeps the
 eager rewriting in step with the calculus.
 
-Firing is one rewriting step (``diagram._replace_nodes``) on a normal
+Firing is one rewriting step (``diagram._splice_normal``) on a normal
 diagram that leaves it normal: the send, the receive and the receiver's
 thunk are replaced by the thunk's body (the comm step and its beta step at
 once), fed the message names and the captured names, with its result in the
@@ -32,8 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from itertools import combinations
 
-from .diagram import (Diagram, Port, _detach, _normalized, _rebuild_fanin, _rebuild_fanout,
-                      _replace_nodes, generator)
+from .diagram import Diagram, _splice_normal, generator, trace_subject
 from .translate import TopDiagram
 
 
@@ -69,13 +68,6 @@ def _spine(d: Diagram) -> tuple[int | None, list[int]]:
     return nid, comps
 
 
-def trace_subject(d: Diagram, port: Port) -> Port:
-    """Follow a name wire backward through copy fan-outs to its source port."""
-    while port[0] == "out" and d.nodes[port[1]].kind == "copy":
-        port = d.producer(("in", port[1], 0))
-    return port
-
-
 def _components(d: Diagram) -> dict[str, list[int]]:
     """The node ids of the top-level multiset by kind, each in id order."""
     by_kind: dict[str, list[int]] = {}
@@ -106,62 +98,9 @@ def _fire_on(d: Diagram, r: DiagramRedex) -> None:
     """Fire one checked redex of the normal diagram d in place, leaving d normal."""
     o, i = r.output_node, r.input_node
     t = d.producer(("in", i, 1))[1]
-    spine, slot = d.consumer(("out", o, 0))[1:]
     prods = [*(d.producer(("in", o, 1 + k)) for k in range(r.arity)),
              *(d.producer(("in", t, j)) for j in range(d.nodes[t].cap))]
-    sources = {trace_subject(d, p)
-               for p in (d.producer(("in", o, 0)), d.producer(("in", i, 0)), *prods)}
-    _replace_nodes(d, (o, i, t), d.nodes[t].inner, prods, [("in", spine, slot)])
-    _respine(d, spine)
-    # in root id order, as the normalization pass met them: new ids keep its relative order
-    for src in sorted(sources, key=lambda s: d.consumer(s)[1]):
-        _prune(d, src)
-
-
-def _respine(d: Diagram, spine: int) -> None:
-    """Rebuild the spine par over its wired slots, opening the body's result par or stop."""
-    doomed, leaves = [spine], []
-    for k in range(d.nodes[spine].arity):
-        p = d._src.get(("in", spine, k))  # None in the receive's slot
-        if p is not None and d.nodes[p[1]].kind in ("par", "stop"):
-            doomed.append(p[1])
-            leaves += [d.producer(q) for q in d.in_ports(p[1])]
-        elif p is not None:
-            leaves.append(p)
-    outer = d.consumer(("out", spine, 0))
-    for nid in doomed:
-        _detach(d, nid)
-    _rebuild_fanin(d, leaves, outer)
-
-
-def _prune(d: Diagram, src: Port) -> None:
-    """Rebuild the copy tree under src over its wired, non-discard leaves, where it needs it.
-
-    A name or fresh source left with no leaf is deleted, and a domain port gets a discard.
-    """
-    root = d.consumer(src)
-    kind = d.nodes[root[1]].kind
-    if kind not in ("copy", "discard") or kind == "discard" and src[0] == "dom":
-        return
-    doomed, leaves, stack = [], [], [root]
-    while stack:
-        port = stack.pop()
-        node = d.nodes[port[1]]
-        if node.kind == "copy":
-            outs = [d._dst.get(("out", port[1], k)) for k in range(node.arity)]
-            stack += [c for c in reversed(outs) if c is not None]
-        if node.kind in ("copy", "discard"):
-            doomed.append(port[1])
-        else:
-            leaves.append(port)
-    if kind == "copy" and doomed == [root[1]] and len(leaves) == d.nodes[root[1]].arity:
-        return  # one copy over wired leaves: already normal
-    for nid in doomed:
-        _detach(d, nid)
-    if leaves or src[0] == "dom":
-        _rebuild_fanout(d, src, leaves)
-    else:
-        _detach(d, src[1])
+    _splice_normal(d, (o, i, t), d.nodes[t].inner, prods, d.consumer(("out", o, 0)))
 
 
 def _fire(td: TopDiagram, rs: tuple[DiagramRedex, ...]) -> TopDiagram:
@@ -190,13 +129,12 @@ _STOP = generator("stop")
 
 
 def strip_permits(td: TopDiagram) -> TopDiagram:
-    """A copy of td with every communication permit removed (for gating tests)."""
+    """A copy of td with every communication permit removed (for gating tests), still normal."""
     d = td.diagram.copy()
-    for nid in sorted(d.nodes):
-        if d.nodes[nid].kind == "comm":
-            # an inert stop takes the permit's place; normalization drops it
-            _replace_nodes(d, (nid,), _STOP, [], [d.consumer(("out", nid, 0))])
-    return TopDiagram(_normalized(d), td.name_order)
+    for nid in [n for n in sorted(d.nodes) if d.nodes[n].kind == "comm"]:
+        # an inert stop takes the permit's place: the spine drops it, the codomain keeps it
+        _splice_normal(d, (nid,), _STOP, [], d.consumer(("out", nid, 0)))
+    return TopDiagram(d, td.name_order)
 
 
 def concurrent_step(td: TopDiagram, permits: int | None = None) -> list[tuple[DiagramRedex, ...]]:

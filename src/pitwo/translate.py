@@ -1,25 +1,27 @@
 """Interpretation of process terms as diagrams, and contexts as diagram contexts.
 
-The translation is structurally recursive and builds flat trees.  Every free
-name of a term becomes one N port of the diagram's domain (in sorted name
-order); a name used k times fans out through one copy node, and a name bound
-but unused ends in a discard.  A parallel tree, seen through restrictions,
-becomes one par node over its leaves, stops included.  Input continuations
-are boxed into thunks whose message parameters are designated ports and whose
-remaining free names enter the box as captured wires.  Restriction plugs a
-fresh source into the binder's wire.  Outside a context, each input term is
-boxed once per process: a weak table keyed by the interned term keeps its
-thunk node, which every translation meeting the term shares (nodes and bodies
-never change), so its body is normalized and signed once.
+The translation is structurally recursive and builds normal diagrams.  Every
+free name of a term becomes one N port of the diagram's domain (in sorted
+name order); a name used k times fans out through one copy node, and an
+unused message parameter ends in a discard.  A parallel tree, seen through
+restrictions, becomes one par node over its leaves other than stops (one stop
+if it has none).  Input continuations are boxed into thunks whose message
+parameters are designated ports and whose remaining free names enter the box
+as captured wires.  Restriction plugs a fresh source into the binder's wire,
+if the binder is used.  Outside a context, each input term is boxed once per
+process: a weak table keyed by the interned term keeps its thunk node, which
+every translation meeting the term shares (nodes and bodies never change), so
+its body is built and signed once.
 
 The top-level form is built in one place, ``seal``: it adds a configurable
 number of communication permits in parallel with an open diagram (a
 translation, or a plugged context), as further inputs of its output's par
 node if it has one, and optionally instantiates every free name with a
-name-constant node, closing the domain.  It owns the diagram, and normalizes
-it in place.  A top-level form hashes a key of integers read off its nodes,
-the same in every run; two forms with equal keys are compared by the witness
-walk of ``diagram._witness``, and signed only when the walk fails.
+name-constant node, closing the domain.  Like plugging, which splices the
+plug as a firing splices a body (``diagram._splice_normal``), it keeps a
+normal diagram normal.  A top-level form hashes a key of integers read off
+its nodes, the same in every run; two forms with equal keys are compared by
+the witness walk of ``diagram._witness``, and signed only when the walk fails.
 """
 
 from __future__ import annotations
@@ -36,10 +38,10 @@ from .diagram import (
     P,
     Port,
     _body_signature,
-    _normalized,
+    _detach,
     _rebuild_fanin,
     _rebuild_fanout,
-    _replace_nodes,
+    _splice_normal,
     _witness,
     signature,
 )
@@ -51,7 +53,7 @@ def _emit(p: Process, d: Diagram, hole_names: tuple[Name, ...] | None = None
     """Build p's nodes inside d; returns its parallel leaves' P outputs and open name demands."""
     match p:
         case Stop():
-            return [("out", d.add("stop"), 0)], {}
+            return [], {}  # an inert leaf adds no output; an empty tree is one stop
         case Output(subject, args):
             nid = d.add("send", arity=len(args))
             demands: dict[Name, list[Port]] = {}
@@ -69,8 +71,8 @@ def _emit(p: Process, d: Diagram, hole_names: tuple[Name, ...] | None = None
             return outs, demands
         case New(binder, body):
             bo, bd = _emit(body, d, hole_names)
-            nid = d.add("fresh")
-            _rebuild_fanout(d, ("out", nid, 0), bd.pop(binder, []))
+            if binder in bd:  # a vacuous restriction adds nothing
+                _rebuild_fanout(d, ("out", d.add("fresh"), 0), bd.pop(binder))
             return bo, bd
         case Input(subject, params, _):
             thunk, captured = _thunk(p, hole_names)
@@ -102,7 +104,7 @@ def _thunk(p: Input, hole_names: tuple[Name, ...] | None) -> tuple[Node, tuple[N
     if boxed is None:
         inner, names = _open(p.body, hole_names, p.params)
         captured = names[len(p.params):]
-        boxed = Node("thunk", len(p.params), len(captured), "", _normalized(inner)), captured
+        boxed = Node("thunk", len(p.params), len(captured), "", inner), captured
         if hole_names is None:
             _THUNKS[p] = boxed
     return boxed
@@ -125,6 +127,7 @@ def translate(p: Process) -> Diagram:
     return _open(p)[0]
 
 
+@functools.cache
 def _code(text: str) -> int:
     """An integer for a string; unlike a str hash, its hash is the same in every run."""
     return int.from_bytes(text.encode(), "big")
@@ -185,10 +188,10 @@ def seal(d: Diagram, names: tuple[Name, ...], catalysts: int = 1,
     """The top-level form of an open diagram N^k -> P whose domain carries ``names``.
 
     Takes ownership of d, a fresh diagram from ``translate`` or ``plug_diagram``,
-    and seals and normalizes it in place: ``catalysts`` communication permits join
-    the par node that produces its codomain (or a new one), and with ``instantiate``
-    each domain port's consumer is rewired to a name-constant node, closing the
-    domain; otherwise free names stay as domain ports.
+    and seals it in place, normal in, normal out: ``catalysts`` communication permits
+    join the par node that produces its codomain (or a new one, or replace a lone stop),
+    and with ``instantiate`` each domain port's consumer is rewired to a name-constant
+    node, closing the domain; otherwise free names stay as domain ports.
     """
     if catalysts < 0:
         raise ValueError("catalyst count must be >= 0")
@@ -200,15 +203,21 @@ def seal(d: Diagram, names: tuple[Name, ...], catalysts: int = 1,
             d.nodes[nid] = spine._replace(arity=spine.arity + catalysts)
             for j, permit in enumerate(permits, spine.arity):
                 d.connect(permit, ("in", nid, j))
+        elif spine.kind == "stop":  # the permits take the inert spine's place
+            _detach(d, nid)
+            _rebuild_fanin(d, permits, ("cod", 0))
         else:
             _rebuild_fanin(d, [d.disconnect(("cod", 0))] + permits, ("cod", 0))
     if instantiate:
         for k, name in enumerate(names):
             cons = d.consumer(("dom", k))
             d.disconnect(cons)
-            d.connect(("out", d.add("name", label=name.id), 0), cons)
+            if d.nodes[cons[1]].kind != "discard":  # an unused name needs no constant
+                d.connect(("out", d.add("name", label=name.id), 0), cons)
+            else:
+                _detach(d, cons[1])
         d.dom = []
-    return TopDiagram(_normalized(d), names)
+    return TopDiagram(d, names)
 
 
 def translate_top(p: Process, catalysts: int = 1, instantiate: bool = True) -> TopDiagram:
@@ -291,7 +300,7 @@ def _plugged(d: Diagram, f: Diagram) -> Diagram | None:
 
     Thunk bodies are shared values, so a hole inside one is plugged in a copy
     of each body on the path to it, and each such thunk node is replaced by
-    one that boxes the plugged body's normal form.
+    one that boxes the plugged body.
     """
     for nid in sorted(d.nodes):
         node = d.nodes[nid]
@@ -304,20 +313,20 @@ def _plugged(d: Diagram, f: Diagram) -> Diagram | None:
             )
         h = d.copy()
         prods = [h.producer(("in", nid, j)) for j in range(k)]
-        _replace_nodes(h, (nid,), f, prods, [h.consumer(("out", nid, 0))])
+        _splice_normal(h, (nid,), f, prods, h.consumer(("out", nid, 0)))
         return h
     for nid in sorted(d.nodes):
         node = d.nodes[nid]
         body = _plugged(node.inner, f) if node.inner is not None else None
         if body is not None:
             h = d.copy()
-            h.nodes[nid] = node._replace(inner=_normalized(body))
+            h.nodes[nid] = node._replace(inner=body)
             return h
     return None
 
 
 def plug_diagram(ctx: DiagramContext, f: Diagram) -> Diagram:
-    """Apply the context functor to a diagram: splice f into the hole."""
+    """Apply the context functor to a diagram: splice f into the hole; normal in, normal out."""
     d = _plugged(ctx.diagram, f)
     if d is None:
         raise ValueError("context diagram has no hole")

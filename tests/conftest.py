@@ -29,9 +29,10 @@ settings.load_profile("pitwo")
 from pitwo.bisim import barbs, reduction_union
 from oracles import ClassBudgetError, _axiom_neighbors, alpha_key
 from pitwo.congruence import _rebuild, canonical_form, term_size
-from pitwo.diagram import _UNORDERED, Diagram, Node, _coloring
+from pitwo.diagram import _UNORDERED, Diagram, Node, _coloring, normalize
 from pitwo.opsem import reduce_step
 from pitwo.syntax import (
+    Hole,
     Input,
     Name,
     New,
@@ -531,3 +532,47 @@ def naive_isomorphic(a: Diagram, b: Diagram) -> bool:
         return False
 
     return assign(0)
+
+
+# a?(x) => c?() => (x!() | [ ]): a hole two thunks deep.
+HOLE_IN_BODY = Input(Name("a"), (Name("x"),),
+                     Input(Name("c"), (), Par(Output(Name("x"), ()), Hole())))
+
+
+def bodies(d: Diagram) -> list[Diagram]:
+    """Every thunk body of d, at any depth."""
+    found, stack = [], [d]
+    while stack:
+        for node in stack.pop().nodes.values():
+            if node.inner is not None:
+                found.append(node.inner)
+                stack.append(node.inner)
+    return found
+
+
+def is_normal(d: Diagram) -> bool:
+    """normalize(d) has d's node table and wires."""
+    h = normalize(d)
+    return h.nodes == d.nodes and h._dst == d._dst
+
+
+def assert_normal(d: Diagram) -> None:
+    """The normal-form shape, checked node by node and in every thunk body."""
+    d.validate()
+
+    def kinds(ports):
+        return [d.nodes[p[1]].kind if p[0] in ("in", "out") else p[0] for p in ports]
+
+    for nid, node in d.nodes.items():
+        ins = kinds(d.producer(p) for p in d.in_ports(nid))
+        outs = kinds(d.consumer(p) for p in d.out_ports(nid))
+        if node.kind == "apply":
+            assert ins[0] != "thunk"
+        if node.kind == "par":
+            assert node.arity >= 2 and not {"par", "stop"} & set(ins)
+        if node.kind == "copy":
+            assert node.arity >= 2 and not {"copy", "discard"} & set(outs)
+        if node.kind in ("name", "fresh"):
+            assert outs != ["discard"]
+        if node.inner is not None:
+            assert_normal(node.inner)

@@ -6,7 +6,9 @@ alpha-equivalence.  It shares nothing with ``canonical_form`` beyond the
 term syntax, so it checks the congruence by an independent route.
 
 ``fire_by_comm_rule`` fires diagram redexes the long way, by the comm rule
-and a whole-diagram normalization, to check the local firing of ``rewrite``.
+and a whole-diagram normalization of its own (``_flatten`` per tree kind,
+then ``_drop_scalars``), to check the local firing of ``rewrite``, which
+rebuilds trees with ``diagram._respine`` and ``diagram._prune``.
 """
 
 from __future__ import annotations
@@ -14,7 +16,8 @@ from __future__ import annotations
 import functools
 
 from pitwo.congruence import term_size
-from pitwo.diagram import Diagram, _normalized, _replace_nodes, generator, tensor
+from pitwo.diagram import (Diagram, Port, _detach, _fire_betas, _rebuild_fanin, _rebuild_fanout,
+                           _replace_nodes, generator, tensor)
 from pitwo.rewrite import DiagramRedex
 from pitwo.syntax import (
     Input,
@@ -129,9 +132,57 @@ def oracle_congruent(p: Process, q: Process, depth: int, size_cap: int | None = 
 
 
 # ---------------------------------------------------------------------------
-# Reference firing: the comm rule spliced in as one rewriting step, then the
+# Reference firing: the comm rule spliced in as one rewriting step, then a
 # whole-diagram normalization pass, which fires the beta step, drops the stop
 # in the receive's slot and the discards on both subjects.
+
+
+def _flatten(d: Diagram, kind: str, unit: str) -> None:
+    """Rebuild each maximal tree of ``kind`` nodes as one node without ``unit`` leaves.
+
+    A par tree grows through par inputs, a copy tree through copy outputs;
+    leaves keep their left-to-right order.  Only trees that need it are rebuilt.
+    """
+    fanin = kind == "par"
+    ports, peer = (d.in_ports, d.producer) if fanin else (d.out_ports, d.consumer)
+
+    def kind_at(port: Port) -> str | None:
+        return d.nodes[port[1]].kind if port[0] in ("in", "out") else None
+
+    for root in sorted(d.nodes):
+        node = d.nodes.get(root)
+        if node is None or node.kind != kind:
+            continue
+        outer = d.consumer(("out", root, 0)) if fanin else d.producer(("in", root, 0))
+        if kind_at(outer) == kind:
+            continue  # an inner node; its root rebuilds the whole tree
+        stack = [peer(p) for p in ports(root)][::-1]
+        if node.arity >= 2 and all(kind_at(c) not in (kind, unit) for c in stack):
+            continue
+        doomed, leaves = [root], []
+        while stack:
+            port = stack.pop()
+            if kind_at(port) == kind:
+                stack.extend([peer(p) for p in ports(port[1])][::-1])
+            if kind_at(port) in (kind, unit):
+                doomed.append(port[1])
+            else:
+                leaves.append(port)
+        for nid in doomed:
+            _detach(d, nid)
+        if fanin:
+            _rebuild_fanin(d, leaves, outer)
+        else:
+            _rebuild_fanout(d, outer, leaves)
+
+
+def _drop_scalars(d: Diagram) -> None:
+    """Delete each name or fresh source whose one consumer is a discard."""
+    for nid in [n for n in sorted(d.nodes) if d.nodes[n].kind in ("name", "fresh")]:
+        cons = d.consumer(("out", nid, 0))
+        if cons[0] == "in" and d.nodes[cons[1]].kind == "discard":
+            _detach(d, nid)
+            _detach(d, cons[1])
 
 
 @functools.cache
@@ -155,4 +206,8 @@ def fire_by_comm_rule(td: TopDiagram, rs: tuple[DiagramRedex, ...]) -> TopDiagra
                  *(d.producer(("in", o, 1 + t)) for t in range(r.arity))]
         cons = [d.consumer(("out", o, 0)), d.consumer(("out", i, 0))]
         _replace_nodes(d, (o, i), _comm_rule(r.arity), prods, cons)
-    return TopDiagram(_normalized(d), td.name_order)
+    _fire_betas(d)
+    _flatten(d, "par", "stop")
+    _flatten(d, "copy", "discard")
+    _drop_scalars(d)
+    return TopDiagram(d, td.name_order)

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 
 import pitwo
 
-from conftest import naive_isomorphic, process_st, rename_restrictions
+from conftest import HOLE_IN_BODY, bodies, is_normal, naive_isomorphic, process_st, rename_restrictions
 from pitwo import diagram as dg
 from pitwo.diagram import (
     Diagram,
@@ -44,7 +44,7 @@ from pitwo.rewrite import (
     find_diagram_redexes,
     strip_permits,
 )
-from pitwo.syntax import Hole, Input, Name, New, Output, Par, free_names, parse
+from pitwo.syntax import Name, New, Par, free_names, parse
 from pitwo.translate import (
     TopDiagram,
     plug_diagram,
@@ -304,12 +304,9 @@ class TestEqual:
         assert equal(translate(p), translate(q)) == equal(translate(q), translate(p))
 
 
-# Terms whose raw diagrams hold a stop in a par tree at every level, two deep.
+# Terms with a stop in a par tree at every level, two deep, which translation drops.
 NESTED = "a?(x) => (x!() | 0 | b?() => (x!() | 0)) | 0"
 BODY = "x!() | 0 | b?() => (x!() | 0)"
-# a?(x) => c?() => (x!() | [ ]): a hole two thunks deep, for BODY's free names b, x.
-HOLE_IN_BODY = Input(Name("a"), (Name("x"),),
-                     Input(Name("c"), (), Par(Output(Name("x"), ()), Hole())))
 # Two redexes on distinct subjects, whose reducts splice bodies with thunks in them.
 TWO_REDEXES = "a?(x) => (x!() | b?() => x!()) | a!(c) | d?() => (b!() | c?() => 0) | d!()"
 
@@ -318,26 +315,32 @@ def _open(src: str) -> Diagram:
     return translate(parse(src))
 
 
+def _stopped(src: str) -> Diagram:
+    """src's diagram beside a stop, joined by a second par: built by the combinators, not normal."""
+    return compose(tensor(_open(src), generator("stop")), generator("par", arity=2))
+
+
 def _top(catalysts: int = 1):
     return translate_top(parse(TWO_REDEXES), catalysts)
 
 
 def _hole_in_body():
+    # HOLE_IN_BODY's hole, two thunks deep, for BODY's free names b, x
     return translate_context(HOLE_IN_BODY, (Name("b"), Name("x")))
 
 
 # name -> (a function building fresh inputs, the call made on them)
 ALIASING_CALLS = {
-    "normalize": (lambda: (_open(NESTED),), normalize),
-    "equal": (lambda: (_open(NESTED), _open(BODY)), equal),
+    "normalize": (lambda: (_stopped(NESTED),), normalize),
+    "equal": (lambda: (_stopped(NESTED), _stopped(BODY)), equal),
     "compose": (lambda: (tensor(generator("name", label="u"), generator("name", label="v")),
-                         _open(NESTED)),
+                         _stopped(NESTED)),
                 lambda f, g: normalize(compose(f, g))),
-    "tensor": (lambda: (_open(NESTED), _open(BODY)), lambda f, g: normalize(tensor(f, g))),
-    "curry": (lambda: (_open(BODY),), lambda body: normalize(curry(1, body))),
-    "generator": (lambda: (_open(BODY),), lambda body: generator("thunk", arity=1, cap=1, inner=body)),
+    "tensor": (lambda: (_stopped(NESTED), _stopped(BODY)), lambda f, g: normalize(tensor(f, g))),
+    "curry": (lambda: (_stopped(BODY),), lambda body: normalize(curry(1, body))),
+    "generator": (lambda: (_stopped(BODY),), lambda body: generator("thunk", arity=1, cap=1, inner=body)),
     "plug_diagram": (lambda: (_hole_in_body(), _open(BODY)), plug_diagram),
-    "apply_ev": (lambda: (curry(1, _open(BODY)), generator("name", label="u")),
+    "apply_ev": (lambda: (curry(1, _stopped(BODY)), generator("name", label="u")),
                  lambda thunk, arg: normalize(apply_ev(thunk, arg))),
     "apply_comm": (lambda: (_top(),), lambda td: apply_comm(td, find_diagram_redexes(td)[0])),
     "comm_step": (lambda: (_top(),), comm_step),
@@ -364,7 +367,7 @@ class TestAliasing:
 
     def test_normalize_changes_the_outer_diagram(self):
         # the inputs above are only a check if normalize has work to do on them
-        d = _open(NESTED)
+        d = _stopped(NESTED)
         assert dg.dumps(normalize(d)) != dg.dumps(d)
 
     def test_two_concurrent_redexes(self):
@@ -382,29 +385,12 @@ class TestAliasing:
             node.kind = "comm"
 
 
-def _bodies(d: Diagram) -> list[Diagram]:
-    """Every thunk body of d, at any depth."""
-    found, stack = [], [d]
-    while stack:
-        for node in stack.pop().nodes.values():
-            if node.inner is not None:
-                found.append(node.inner)
-                stack.append(node.inner)
-    return found
-
-
-def _is_normal(d: Diagram) -> bool:
-    """normalize(d) has d's node table and wires."""
-    h = normalize(d)
-    return h.nodes == d.nodes and h._dst == d._dst
-
-
 # name -> a function building diagrams whose thunk bodies must all be normal
 BOXING_CALLS = {
     "translate": lambda: [_open(NESTED)],
     "translate_top": lambda: [translate_top(parse(NESTED)).diagram],
-    "curry": lambda: [curry(1, _open(BODY))],
-    "generator": lambda: [generator("thunk", arity=1, cap=1, inner=_open(BODY))],
+    "curry": lambda: [curry(1, _stopped(BODY))],
+    "generator": lambda: [generator("thunk", arity=1, cap=1, inner=_stopped(BODY))],
     "plug_diagram": lambda: [plug_diagram(_hole_in_body(), _open(BODY))],
     "comm_step": lambda: [td.diagram for td in comm_step(_top())],
 }
@@ -415,12 +401,12 @@ class TestNormalBodies:
 
     @pytest.mark.parametrize("name", sorted(BOXING_CALLS))
     def test_every_body_is_normal(self, name):
-        bodies = [b for d in BOXING_CALLS[name]() for b in _bodies(d)]
-        assert bodies and all(_is_normal(b) for b in bodies)
+        found = [b for d in BOXING_CALLS[name]() for b in bodies(d)]
+        assert found and all(is_normal(b) for b in found)
 
     def test_raw_bodies_are_not_normal(self):
-        # the boxing calls above are only a check if what they box is not normal
-        assert not _is_normal(_open(BODY))
+        # curry and generator above are only a check if what they box is not normal
+        assert not is_normal(_stopped(BODY))
 
 
 class TestValidation:

@@ -144,17 +144,17 @@ class TestVerifiers:
     def test_functoriality_checks_never_sign(self, monkeypatch):
         # plug-then-translate and translate-then-plug wire their diagrams in
         # one port order, so a witness decides every functoriality check
-        signature, equal = dg.signature, dg.equal
+        signature, isomorphic = dg.signature, dg.isomorphic
         signed, signs_per_check = [], []
 
         def traced(d1, d2):
             before = len(signed)
-            same = equal(d1, d2)
+            same = isomorphic(d1, d2)
             signs_per_check.append(len(signed) - before)
             return same
 
         monkeypatch.setattr(dg, "signature", lambda d: signed.append(d) or signature(d))
-        monkeypatch.setattr(harness, "equal", traced)
+        monkeypatch.setattr(harness, "isomorphic", traced)
         report = verify_contextual_congruence(SMALL_SPEC, context_bound=2, max_plugs=4)
         assert report.passed, report.counterexamples[:3]
         contexts = enumerate_contexts(corpus_names(SMALL_SPEC), 2)

@@ -4,7 +4,7 @@ import pytest
 import hypothesis.strategies as st
 from hypothesis import given, settings
 
-from conftest import process_st, soup_st
+from conftest import assert_normal, process_st, soup_st
 from oracles import _comm_rule, fire_by_comm_rule
 from pitwo import diagram as dg, harness, rewrite
 from pitwo.diagram import Diagram, HomT, N, P, _witness
@@ -184,10 +184,8 @@ class TestReferenceFiring:
                 inside.pop()
 
         monkeypatch.setattr(rewrite, "_fire_on", counting("fire", rewrite._fire_on))
-        monkeypatch.setattr(rewrite, "_rebuild_fanin", counting("fanin", rewrite._rebuild_fanin))
-        for module in (dg, rewrite):  # rewrite imports the pass for strip_permits
-            monkeypatch.setattr(module, "_normalized", counting("pass", module._normalized))
-        monkeypatch.setattr(dg, "_flatten", counting("pass", dg._flatten))
+        monkeypatch.setattr(dg, "_rebuild_fanin", counting("fanin", dg._rebuild_fanin))
+        monkeypatch.setattr(dg, "_normalized", counting("pass", dg._normalized))
         monkeypatch.setattr(harness, "comm_step", traced_comm_step)
         soup = parse("(a!(b) | a?(y) => (y!() | y!(a)) | a?(z) => 0) | (new u)(u!(b) | u?(v) => v!(u))"
                      " | b?() => a!(a)")
@@ -286,28 +284,6 @@ class TestJointStepRule:
         td = translate_top(p, 2, True)
         for rs in concurrent_step(td, 2):
             assert apply_concurrent(td, rs).sig == apply_concurrent(td, rs[::-1]).sig
-
-
-def assert_normal(d: Diagram) -> None:
-    """The normal-form shape, checked node by node and in every thunk body."""
-    d.validate()
-
-    def kinds(ports):
-        return [d.nodes[p[1]].kind if p[0] in ("in", "out") else p[0] for p in ports]
-
-    for nid, node in d.nodes.items():
-        ins = kinds(d.producer(p) for p in d.in_ports(nid))
-        outs = kinds(d.consumer(p) for p in d.out_ports(nid))
-        if node.kind == "apply":
-            assert ins[0] != "thunk"
-        if node.kind == "par":
-            assert node.arity >= 2 and not {"par", "stop"} & set(ins)
-        if node.kind == "copy":
-            assert node.arity >= 2 and not {"copy", "discard"} & set(outs)
-        if node.kind in ("name", "fresh"):
-            assert outs != ["discard"]
-        if node.inner is not None:
-            assert_normal(node.inner)
 
 
 class TestNormalForm:

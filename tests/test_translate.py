@@ -3,15 +3,21 @@ import weakref
 from itertools import islice
 
 import hypothesis.strategies as st
+import pytest
 from hypothesis import given, settings
 
-from conftest import congruence_class_terms, name_st, process_st, rename_restrictions
-from pitwo import diagram as dg
+from conftest import (HOLE_IN_BODY, assert_normal, bodies, congruence_class_terms, is_normal,
+                      name_st, process_st, rename_restrictions, soup_st)
+from pitwo import diagram as dg, harness
 from pitwo.congruence import canonical_form, congruent
-from pitwo.diagram import N, Diagram, compose, dumps, equal, generator, normalize, signature, tensor
-from pitwo.harness import SMALL_SPEC, enumerate_terms
-from pitwo.rewrite import apply_comm, find_diagram_redexes
-from pitwo.syntax import Hole, Input, Name, New, Output, Par, Stop, free_names, parse, pretty
+from pitwo.diagram import (N, Diagram, _witness, compose, dumps, equal, generator, normalize,
+                           signature, tensor)
+from pitwo.harness import (ARITY2_SPEC, SMALL_SPEC, corpus_names, enumerate_contexts,
+                           enumerate_terms, verify_catalyst_gating, verify_contextual_congruence,
+                           verify_reduction_lemma)
+from pitwo.rewrite import apply_comm, comm_step, find_diagram_redexes, strip_permits
+from pitwo.syntax import (Hole, Input, Name, New, Output, Par, Process, Stop, free_names, parse,
+                          pretty)
 from pitwo.translate import (
     count_holes,
     plug_diagram,
@@ -312,10 +318,10 @@ class TestFlatConstruction:
                 rebuilt.append(name)
                 return real(*args)
             monkeypatch.setattr(dg, name, counted)
-        translate_top(Stop())
-        assert rebuilt  # par(stop, permit) loses its stop: the counter counts
+        normalize(compose(tensor(translate(Stop()), generator("stop")), generator("par", arity=2)))
+        assert rebuilt  # par(stop, stop) becomes one stop: the counter counts
         rebuilt.clear()
-        terms = [p for p in enumerate_terms(SMALL_SPEC) if p is not Stop()]
+        terms = enumerate_terms(SMALL_SPEC)
         for p in terms:
             translate_top(p)
         assert len(terms) > 100 and rebuilt == []
@@ -382,3 +388,107 @@ class TestSharedThunks:
         first, second = (translate_context(c, (Name("b"),)).diagram for _ in range(2))
         assert _thunk_bodies(first)[0] is not _thunk_bodies(second)[0]
         assert c not in translation._THUNKS
+
+
+def assert_normal_throughout(d: Diagram) -> None:
+    """d has the normal-form shape, and d and each body in it are their own normal forms."""
+    assert_normal(d)
+    assert all(_witness(x, normalize(x)) for x in (d, *bodies(d)))
+
+
+def _plug(c: Process, p: Process) -> Diagram:
+    return plug_diagram(translate_context(c, tuple(sorted(free_names(p)))), translate(p))
+
+
+def _stripped(text: str, permits: int) -> Diagram:
+    return strip_permits(translate_top(parse(text), permits)).diagram
+
+
+# name -> a diagram at an edge of the construction: a stop, a vacuous restriction,
+# a plug that is a stop or a par, a permit stripped from a lone or a par spine
+EDGE_SHAPES = {
+    **{f"translate {t}": (lambda t=t: translate(parse(t)))
+       for t in ("0", "0 | 0", "(new x) 0", "(new x)(a!() | 0)", "a?(y) => (0 | b!())")},
+    **{f"translate_top 0 permits={k} instantiate={i}":
+       (lambda k=k, i=i: translate_top(Stop(), k, i).diagram)
+       for k in (0, 1, 2) for i in (True, False)},
+    **{f"plug {p} into {name}": (lambda p=p, c=c: _plug(c, parse(p)))
+       for p in ("0", "a!() | b!()")
+       for name, c in (("c!() | [ ]", Par(Output(Name("c"), ()), Hole())), ("[ ]", Hole()),
+                       ("HOLE_IN_BODY", HOLE_IN_BODY))},
+    "strip_permits 0 permits=1": lambda: _stripped("0", 1),
+    "strip_permits a!() permits=2": lambda: _stripped("a!()", 2),
+    "seal an unused name": lambda: seal(tensor(generator("discard"), translate(parse("a!()"))),
+                                        (Name("x"), Name("a"))).diagram,
+}
+
+
+class TestNormalProducers:
+    """Translation, sealing, plugging, firing and stripping build normal diagrams, no pass run."""
+
+    @pytest.mark.parametrize("name", sorted(EDGE_SHAPES))
+    def test_edge_shape_is_normal(self, name):
+        d = EDGE_SHAPES[name]()
+        d.validate()
+        assert all(is_normal(x) for x in (d, *bodies(d)))
+
+    @staticmethod
+    def assert_producers_normal(p: Process):
+        assert_normal_throughout(translate(p))
+        for permits, instantiate in ((1, True), (2, False)):
+            td = translate_top(p, permits, instantiate)
+            for d in (td.diagram, strip_permits(td).diagram, *(s.diagram for s in comm_step(td))):
+                assert_normal_throughout(d)
+
+    @pytest.mark.parametrize("spec", [SMALL_SPEC, ARITY2_SPEC], ids=["small", "arity2"])
+    def test_corpus(self, spec):
+        for p in enumerate_terms(spec):
+            self.assert_producers_normal(p)
+
+    @settings(max_examples=60, deadline=None)
+    @given(soup_st())
+    def test_soups(self, p):
+        self.assert_producers_normal(p)
+
+    def test_congruence_contexts(self):
+        names = corpus_names(SMALL_SPEC)
+        for c in enumerate_contexts(names, 3):
+            for p in enumerate_terms(SMALL_SPEC)[:4]:
+                ctx = translate_context(c, tuple(sorted(free_names(p))))
+                plugged = plug_diagram(ctx, translate(p))
+                td = seal(plugged, ctx.dom_names)
+                for d in (ctx.diagram, plugged, td.diagram, *(s.diagram for s in comm_step(td))):
+                    assert_normal_throughout(d)
+
+    def test_no_producer_runs_the_pass(self, monkeypatch):
+        # the suites build every diagram through these producers, never through the pass
+        calls = {"producer": 0, "pass": 0}
+        inside = []  # non-empty while a producer runs; only those calls count
+
+        def traced(f):
+            def wrapped(*args):
+                calls["producer"] += 1
+                inside.append(f)
+                try:
+                    return f(*args)
+                finally:
+                    inside.pop()
+            return wrapped
+
+        def counting(f):
+            def wrapped(*args):
+                calls["pass"] += bool(inside)
+                return f(*args)
+            return wrapped
+
+        for name in ("translate_top", "translate", "translate_context", "plug_diagram", "seal",
+                     "strip_permits"):
+            monkeypatch.setattr(harness, name, traced(getattr(harness, name)))
+        monkeypatch.setattr(dg, "_normalized", counting(dg._normalized))  # the pass's one entry
+        assert verify_reduction_lemma(SMALL_SPEC).passed
+        assert verify_catalyst_gating(SMALL_SPEC).passed
+        assert verify_contextual_congruence(SMALL_SPEC, context_bound=2, max_plugs=4,
+                                            max_verdict_terms=3, max_verdict_contexts=6).passed
+        assert calls["producer"] > 1000 and calls["pass"] == 0
+        traced(normalize)(translate(Stop()))
+        assert calls["pass"] == 1  # a pass inside a traced producer counts
